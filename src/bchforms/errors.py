@@ -59,3 +59,11 @@ class RankZero(BchFormsError):
 
 class WitnessNotFound(BchFormsError):
     pass
+
+
+class NotAnMSequence(BchFormsError):
+    """A trace vector that is not a linear m-sequence over GF(q)."""
+
+
+class CountMismatch(BchFormsError):
+    """An exhaustive count that disagrees with its known total."""

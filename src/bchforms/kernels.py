@@ -1,170 +1,144 @@
-"""Hot counting kernels behind the exhaustive oracles.
+"""Hot counting kernels behind the exhaustive oracles (numpy only).
 
-Each kernel exists twice: a numba ``@njit`` loop and a vectorized numpy
-fallback with identical semantics.  The numba path is used when numba
-imports cleanly; set ``BCHFORMS_NO_NUMBA=1`` to force the numpy path
-(``benchmarks/bench_kernels.py`` compares the two).
+``coset_weight_counts`` histograms the q^(m+1) words Q(x) + Tr(mu x) + eps
+of one PRM coset with a q-ary Walsh transform over GF(q)^m.  mu -> Tr(mu .)
+runs over all GF(q)-linear functionals, so the coset is {f + l.x + eps}.
+Starting from A[x, v] = [f(x) = v] (f(0) = 0), m rounds, each a q x q
+exchange along one coordinate axis, give
+
+    T[l, v] = #{x in GF(q)^m : f(x) + l.x = v}
+
+and the word (l, eps) has weight n - (T[l, -eps] - [eps = 0]).  This is the
+q-ary form of reading a first-order Reed-Muller coset's weights off its
+Walsh spectrum (MacWilliams & Sloane, The Theory of Error-Correcting Codes,
+ch. 14).  The cost is O(m q^(m+2)) exact integer operations per coset.
+
+The coordinates of x = alpha^t are read from the trace vector itself,
+x_b = trv[t+b] for b < m.  That is a linear coordinate system only if trv
+is an m-sequence; each distinct trace vector is checked once
+(``NotAnMSequence`` otherwise) and its coordinate permutation cached.
 
 Conventions shared by all kernels:
 
 * GF(q) values are int64 in [0, q); ``pair`` is the flattened q*q addition
   table (``pair[a*q+b] = a+b`` in GF(q)) and ``neg`` the negation table.
 * Codeword coordinates are indexed by the exponent t of x = alpha^t, so a
-  linear term Tr(mu x) with mu = alpha^k is the trace vector shifted by k.
+  linear term Tr(mu x) with mu = alpha^k is the trace vector shifted by k;
+  ``trv2`` is the trace vector repeated twice.
 """
 
 from __future__ import annotations
 
-import os
+from dataclasses import dataclass
 
 import numpy as np
 
-_FORCED_OFF = os.environ.get("BCHFORMS_NO_NUMBA", "").strip() not in ("", "0")
-
-if not _FORCED_OFF:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
+from .errors import BchFormsError, NotAnMSequence
+from .gfarith import small_field
 
 
 def use_numba() -> bool:
-    return HAVE_NUMBA
-
-
-# ---------------------------------------------------------------------------
-# value vector of one family member:
-#   qvec[t] = sum_s trace_rows[s, (lam_logs[s] + t*steps[s]) mod n]
-# summed in GF(q); lam_logs[s] = -1 marks a zero lambda.
-# ---------------------------------------------------------------------------
-
-
-def _eval_qvec_np(lam_logs, steps, trace_rows, q, out):
-    n = out.shape[0]
-    t = np.arange(n, dtype=np.int64)
-    out[:] = 0
-    qmul = np.int64(q)
-    pair = None
-    for s in range(lam_logs.shape[0]):
-        l = lam_logs[s]
-        if l < 0:
-            continue
-        idx = (l + t * steps[s]) % n
-        contrib = trace_rows[s][idx]
-        if pair is None:
-            from .gfarith import small_field  # local import to keep numpy path light
-
-            pair = small_field(q).add.astype(np.int64).ravel()
-        out[:] = pair[out * qmul + contrib]
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _eval_qvec_nb(lam_logs, steps, trace_rows, pair, q, out):  # pragma: no cover - jitted
-        n = out.shape[0]
-        n_slots = lam_logs.shape[0]
-        for t in range(n):
-            out[t] = 0
-        for s in range(n_slots):
-            l = lam_logs[s]
-            if l < 0:
-                continue
-            e = steps[s]
-            pos = l
-            row = trace_rows[s]
-            for t in range(n):
-                out[t] = pair[out[t] * q + row[pos]]
-                pos += e
-                if pos >= n:
-                    pos -= n
+    # numpy is the only backend; kept because callers report the backend
+    return False
 
 
 def eval_qvec(lam_logs, steps, trace_rows, pair, q, out):
-    """Fill out[t] = Q(alpha^t) for the member described by lam_logs."""
-    if HAVE_NUMBA:
-        _eval_qvec_nb(lam_logs, steps, trace_rows, pair, q, out)
-    else:
-        _eval_qvec_np(lam_logs, steps, trace_rows, q, out)
+    """Fill out[t] = Q(alpha^t) = sum_s trace_rows[s, (lam_logs[s] + t*steps[s]) mod n]
+    summed in GF(q); lam_logs[s] = -1 marks a zero lambda."""
+    n = out.shape[0]
+    t = np.arange(n, dtype=np.int64)
+    out[:] = 0
+    for s in range(lam_logs.shape[0]):
+        l = lam_logs[s]
+        if l >= 0:
+            out[:] = pair[out * q + trace_rows[s][(l + t * steps[s]) % n]]
 
 
-# ---------------------------------------------------------------------------
-# weight histogram of one full PRM coset:
-# words are (qvec[t] + trv[t+k] + eps)_t for mu = alpha^k, plus the q words
-# with mu = 0.  counts[w] accumulates how many of the q^(m+1) words have
-# Hamming weight w.
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Plan:
+    trv2: np.ndarray
+    pair: np.ndarray
+    m: int
+    pos: np.ndarray    # pos[t]: coordinate index sum_b x_b q^b of alpha^t
+    rows: np.ndarray   # rows[0] = 0 (mu = 0), rows[1+k]: index of Tr(alpha^k .)
+    vsrc: np.ndarray   # vsrc[v, c, a] = v - c*a
 
 
-def _coset_weight_counts_np(qv, trv2, pair, neg, counts):
-    n = qv.shape[0]
+# rebound, never mutated, so threads read a consistent snapshot; two
+# threads adding at once may drop a plan, which is then only rebuilt
+_PLANS: tuple[_Plan, ...] = ()
+
+
+def _plan(trv2, pair, q: int) -> _Plan:
+    """The cached plan of this trace vector, built (and checked) on first use."""
+    global _PLANS
+    for plan in _PLANS:
+        if np.array_equal(plan.trv2, trv2) and np.array_equal(plan.pair, pair):
+            return plan
+    plan = _build_plan(np.array(trv2, dtype=np.int64), np.array(pair, dtype=np.int64), q)
+    _PLANS = (*_PLANS[-15:], plan)
+    return plan
+
+
+def _build_plan(trv2: np.ndarray, pair: np.ndarray, q: int) -> _Plan:
+    """Check that the trace vector is an m-sequence and precompute its
+    coordinates."""
+    F = small_field(q)
+    add, mul = F.add.astype(np.int64), F.mul.astype(np.int64)
+    if not np.array_equal(pair, add.ravel()):
+        raise BchFormsError(f"pair is not the addition table of GF({q})")
+    n = trv2.shape[0] // 2
+    m = max(1, round(np.log(n + 1) / np.log(q)))
+    if q ** m != n + 1 or trv2.shape != (2 * n,) or not np.array_equal(trv2[:n], trv2[n:]):
+        raise NotAnMSequence(f"trace vector of length {n} is not q^m - 1 periodic for q = {q}")
+    if trv2.min() < 0 or trv2.max() >= q:
+        raise NotAnMSequence("trace vector entries outside GF(q)")
+    qpow = q ** np.arange(m, dtype=np.int64)
+    win = np.lib.stride_tricks.sliding_window_view(trv2, m + 1)[:n]
+    pos = win[:, :m] @ qpow
+    order = np.argsort(pos)
+    if not np.array_equal(pos[order], np.arange(1, n + 1)):
+        raise NotAnMSequence("the length-m windows of the trace vector are not all distinct and nonzero")
+    unit = order[qpow - 1]  # t_b: the position whose window is the unit vector e_b
+    acc = np.zeros(n, dtype=np.int64)
+    for b in range(m):
+        acc = add[acc, mul[trv2[unit[b] + m], win[:, b]]]
+    if not np.array_equal(acc, win[:, m]):
+        raise NotAnMSequence("the trace vector does not satisfy a linear recurrence of order m")
+    # Tr(alpha^k x) at x = e_j is trv[t_j + k]: the functional's coordinates
+    rows = np.zeros(n + 1, dtype=np.int64)
+    rows[1:] = trv2[unit[:, None] + np.arange(n)].T @ qpow
+    a = np.arange(q)
+    vsrc = add[a[:, None, None], F.neg[mul[a[None, :, None], a[None, None, :]]]]
+    return _Plan(trv2=trv2, pair=pair, m=m, pos=pos, rows=rows, vsrc=vsrc)
+
+
+def _coset_weights(qv, trv2, pair, neg) -> tuple[_Plan, np.ndarray]:
+    """W[eps, l]: weight of the word f + l.x + eps, l a coordinate index."""
     q = neg.shape[0]
-    qq = qv * np.int64(q)
-    h0 = np.bincount(qv, minlength=q)
-    for eps in range(q):
-        counts[n - h0[neg[eps]]] += 1
-    win = np.lib.stride_tricks.sliding_window_view(trv2, n)[:n]
-    block = max(1, (1 << 22) // max(n, 1))
-    for k0 in range(0, n, block):
-        vals = pair[qq[None, :] + win[k0 : k0 + block]]
-        for eps in range(q):
-            zeros = np.count_nonzero(vals == neg[eps], axis=1)
-            counts += np.bincount(n - zeros, minlength=counts.shape[0])
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _coset_weight_counts_nb(qv, trv2, pair, neg, counts):  # pragma: no cover - jitted
-        n = qv.shape[0]
-        q = neg.shape[0]
-        qq = np.empty(n, dtype=np.int64)
-        for j in range(n):
-            qq[j] = qv[j] * q
-        h0 = np.zeros(q, dtype=np.int64)
-        for j in range(n):
-            h0[qv[j]] += 1
-        for eps in range(q):
-            counts[n - h0[neg[eps]]] += 1
-        # j-outer order keeps every access streaming
-        h2d = np.zeros((n, q), dtype=np.int32)
-        for j in range(n):
-            a = qq[j]
-            for k in range(n):
-                h2d[k, pair[a + trv2[j + k]]] += 1
-        for eps in range(q):
-            v = neg[eps]
-            for k in range(n):
-                counts[n - h2d[k, v]] += 1
+    plan = _plan(trv2, pair, q)
+    size = qv.shape[0] + 1
+    # T[v, x], x = sum_b x_b q^b; each round transforms the lowest digit
+    # and rotates it to the top, so after m rounds T[v, l] is in order
+    T = np.zeros((q, size), dtype=np.int32)
+    T[0, 0] = 1
+    T[qv, plan.pos] = 1
+    a = np.arange(q)
+    for _ in range(plan.m):
+        T = T.reshape(q, size // q, q)[plan.vsrc, :, a].sum(axis=2, dtype=np.int32)
+    W = size - 1 - T.reshape(q, size)[neg]
+    W[0] += 1
+    return plan, W
 
 
 def coset_weight_counts(qv, trv2, pair, neg, counts):
     """Accumulate the weight histogram of the coset of Q into counts."""
-    if HAVE_NUMBA:
-        _coset_weight_counts_nb(qv, trv2, pair, neg, counts)
-    else:
-        _coset_weight_counts_np(qv, trv2, pair, neg, counts)
+    _, W = _coset_weights(qv, trv2, pair, neg)
+    counts += np.bincount(W.ravel(), minlength=counts.shape[0])
 
 
 def coset_weight_table(qv, trv2, pair, neg):
     """Per-word weights of a coset: table[0, eps] is the mu = 0 word,
-    table[1+k, eps] the mu = alpha^k word.  numpy-only (desk scale)."""
-    n = qv.shape[0]
-    q = neg.shape[0]
-    qq = qv * np.int64(q)
-    out = np.empty((n + 1, q), dtype=np.int64)
-    h0 = np.bincount(qv, minlength=q)
-    for eps in range(q):
-        out[0, eps] = n - h0[neg[eps]]
-    win = np.lib.stride_tricks.sliding_window_view(trv2, n)[:n]
-    block = max(1, (1 << 22) // max(n, 1))
-    for k0 in range(0, n, block):
-        vals = pair[qq[None, :] + win[k0 : k0 + block]]
-        for eps in range(q):
-            zeros = np.count_nonzero(vals == neg[eps], axis=1)
-            out[1 + k0 : 1 + k0 + len(zeros), eps] = n - zeros
-    return out
+    table[1+k, eps] the mu = alpha^k word."""
+    plan, W = _coset_weights(qv, trv2, pair, neg)
+    return W.T[plan.rows].astype(np.int64)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from bchforms import kernels
-from bchforms.gfarith import small_field
+from bchforms.errors import NotAnMSequence
+from bchforms.forms import iter_family
+from bchforms.gfarith import field_for, small_field
 
 
 def naive_coset_counts(qv, trv, q):
-    """Triple loop over (mu, eps, position); the anchor for both kernel paths."""
+    """Triple loop over (mu, eps, position); the anchor for the shift-scan."""
     F = small_field(q)
     n = len(qv)
     counts = {}
@@ -21,6 +23,34 @@ def naive_coset_counts(qv, trv, q):
     return counts
 
 
+def shift_scan_table(qv, trv2, pair, neg):
+    """Reference for the transform kernel: weights of every coset word by
+    scanning all n shifts of the trace vector, O(q n^2).  Row 0 is mu = 0,
+    row 1+k is mu = alpha^k, columns are epsilon."""
+    n = qv.shape[0]
+    q = neg.shape[0]
+    out = np.empty((n + 1, q), dtype=np.int64)
+    h0 = np.bincount(qv, minlength=q)
+    win = np.lib.stride_tricks.sliding_window_view(trv2, n)[:n]
+    vals = pair[qv[None, :] * q + win]
+    for eps in range(q):
+        out[0, eps] = n - h0[neg[eps]]
+        out[1:, eps] = n - np.count_nonzero(vals == neg[eps], axis=1)
+    return out
+
+
+def field_tables(q, m):
+    fld = field_for(q, m)
+    trv2 = np.concatenate([fld.trace_vec, fld.trace_vec])
+    return fld, trv2, fld.base.add.astype(np.int64).ravel(), fld.base.neg.astype(np.int64)
+
+
+def kernel_counts(qv, trv2, pair, neg):
+    counts = np.zeros(qv.shape[0] + 1, dtype=np.int64)
+    kernels.coset_weight_counts(qv, trv2, pair, neg, counts)
+    return counts
+
+
 @pytest.mark.parametrize("q,n", [(2, 15), (3, 26), (4, 15), (5, 24), (9, 20)])
 def test_coset_weight_counts_matches_naive(q, n):
     F = small_field(q)
@@ -30,29 +60,67 @@ def test_coset_weight_counts_matches_naive(q, n):
     trv2 = np.concatenate([trv, trv])
     pair = F.add.astype(np.int64).ravel()
     neg = F.neg.astype(np.int64)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    kernels.coset_weight_counts(qv, trv2, pair, neg, counts)
+    table = shift_scan_table(qv, trv2, pair, neg)
+    counts = np.bincount(table.ravel(), minlength=n + 1)
     expected = naive_coset_counts(qv, trv, q)
     assert {w: int(c) for w, c in enumerate(counts) if c} == expected
     assert counts.sum() == (n + 1) * q
 
 
-@pytest.mark.parametrize("q,n", [(2, 63), (3, 80), (5, 24)])
-def test_numba_and_numpy_paths_agree(q, n):
-    F = small_field(q)
-    rng = np.random.default_rng(n)
-    qv = rng.integers(0, q, n).astype(np.int64)
-    trv = rng.integers(0, q, n).astype(np.int64)
-    trv2 = np.concatenate([trv, trv])
-    pair = F.add.astype(np.int64).ravel()
-    neg = F.neg.astype(np.int64)
-    c_np = np.zeros(n + 1, dtype=np.int64)
-    kernels._coset_weight_counts_np(qv, trv2, pair, neg, c_np)
-    if not kernels.use_numba():
-        pytest.skip("numba disabled")
-    c_nb = np.zeros(n + 1, dtype=np.int64)
-    kernels._coset_weight_counts_nb(qv, trv2, pair, neg, c_nb)
-    assert np.array_equal(c_np, c_nb)
+FIELDS = [(2, 4), (2, 6), (2, 8), (3, 3), (3, 4), (4, 3), (4, 4), (5, 2), (5, 3),
+          (8, 2), (8, 3), (9, 2), (16, 2)]
+
+
+@pytest.mark.parametrize("q,m", FIELDS)
+def test_transform_matches_shift_scan(q, m):
+    fld, trv2, pair, neg = field_tables(q, m)
+    rng = np.random.default_rng(q * 100 + m)
+    for _ in range(4):
+        qv = rng.integers(0, q, fld.n).astype(np.int64)
+        ref = shift_scan_table(qv, trv2, pair, neg)
+        assert np.array_equal(kernels.coset_weight_table(qv, trv2, pair, neg), ref)
+        assert np.array_equal(kernel_counts(qv, trv2, pair, neg),
+                              np.bincount(ref.ravel(), minlength=fld.n + 1))
+
+
+@pytest.mark.parametrize("q,m,i", [(2, 6, 3), (3, 4, 2)])
+def test_transform_matches_shift_scan_every_member(q, m, i):
+    fld, trv2, pair, neg = field_tables(q, m)
+    members = 0
+    for form in iter_family(fld, i):
+        qv = form.value_vec()
+        ref = shift_scan_table(qv, trv2, pair, neg)
+        assert np.array_equal(kernels.coset_weight_table(qv, trv2, pair, neg), ref), form.lambdas
+        assert np.array_equal(kernel_counts(qv, trv2, pair, neg),
+                              np.bincount(ref.ravel(), minlength=fld.n + 1))
+        members += 1
+    assert members == q ** (m * (2 * i - m + 3) // 2)
+
+
+def test_rejects_random_trace_vector():
+    _, _, pair, neg = field_tables(3, 3)
+    trv = np.random.default_rng(7).integers(0, 3, 26).astype(np.int64)
+    qv = np.zeros(26, dtype=np.int64)
+    with pytest.raises(NotAnMSequence):
+        kernel_counts(qv, np.concatenate([trv, trv]), pair, neg)
+
+
+def test_rejects_nonlinear_sequence_with_full_windows():
+    # a binary length-15 word whose cyclic 4-windows are the 15 nonzero
+    # vectors (a punctured de Bruijn sequence) but whose shifts are not
+    # closed under addition, so it obeys no linear recurrence
+    words = np.arange(1 << 15)
+    bits = (words[:, None] >> np.arange(15)) & 1
+    idx = (np.arange(15)[:, None] + np.arange(4)) % 15
+    windows = bits[:, idx] @ (1 << np.arange(4))
+    full = np.all(np.sort(windows, axis=1) == np.arange(1, 16), axis=1)
+    rotations = lambda s: {tuple(np.roll(s, k)) for k in range(15)}  # noqa: E731
+    nonlinear = [s for s in bits[full] if tuple(s ^ np.roll(s, 1)) not in rotations(s)]
+    assert nonlinear
+    trv = nonlinear[0].astype(np.int64)
+    _, _, pair, neg = field_tables(2, 4)
+    with pytest.raises(NotAnMSequence, match="recurrence"):
+        kernel_counts(np.zeros(15, dtype=np.int64), np.concatenate([trv, trv]), pair, neg)
 
 
 def test_eval_qvec_both_paths():
@@ -71,30 +139,20 @@ def test_eval_qvec_both_paths():
             if lam_logs[s] >= 0:
                 acc = F.add_el(acc, int(rows[s][(lam_logs[s] + t * steps[s]) % n]))
         expected[t] = acc
-    out_np = np.zeros(n, dtype=np.int64)
-    kernels._eval_qvec_np(lam_logs, steps, rows, q, out_np)
-    assert np.array_equal(out_np, expected)
-    if kernels.use_numba():
-        out_nb = np.zeros(n, dtype=np.int64)
-        kernels._eval_qvec_nb(lam_logs, steps, rows, pair, q, out_nb)
-        assert np.array_equal(out_nb, expected)
+    out = np.zeros(n, dtype=np.int64)
+    kernels.eval_qvec(lam_logs, steps, rows, pair, q, out)
+    assert np.array_equal(out, expected)
 
 
 def test_coset_weight_table_consistent_with_counts():
-    q, n = 3, 26
-    F = small_field(q)
-    rng = np.random.default_rng(3)
-    qv = rng.integers(0, q, n).astype(np.int64)
-    trv = rng.integers(0, q, n).astype(np.int64)
-    trv2 = np.concatenate([trv, trv])
-    pair = F.add.astype(np.int64).ravel()
-    neg = F.neg.astype(np.int64)
+    q, m = 3, 3
+    fld, trv2, pair, neg = field_tables(q, m)
+    F, n, trv = fld.base, fld.n, fld.trace_vec
+    qv = np.random.default_rng(3).integers(0, q, n).astype(np.int64)
     table = kernels.coset_weight_table(qv, trv2, pair, neg)
     assert table.shape == (n + 1, q)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    kernels.coset_weight_counts(qv, trv2, pair, neg, counts)
     from_table = np.bincount(table.ravel(), minlength=n + 1)
-    assert np.array_equal(from_table, counts)
+    assert np.array_equal(from_table, kernel_counts(qv, trv2, pair, neg))
     # spot: entry (1+k, eps) is the weight of qv + shifted trv + eps
     k, eps = 7, 2
     word_w = sum(

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from bchforms import oracle
+from bchforms import kernels, oracle
 from bchforms.bchcode import generator_polynomial
 from bchforms.cyclotomic import code_params
-from bchforms.errors import BudgetExceeded
+from bchforms.errors import BchFormsError, BudgetExceeded, CountMismatch
 from bchforms.gfarith import field_for
 from bchforms.oracle import (
     EnumerationBudget,
@@ -63,6 +63,37 @@ def test_worker_count_independence():
     three = trace_route_weights(params, workers=3)
     assert one.counts == two.counts == three.counts
     assert one.min_positive_weight() == 23
+
+
+def test_worker_count_independence_pooled(monkeypatch):
+    started = []
+
+    class RecordingPool(oracle.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(oracle, "ThreadPoolExecutor", RecordingPool)
+    params = code_params(4, 6, 2)
+    one = trace_route_weights(params, workers=1)
+    two = trace_route_weights(params, workers=2)
+    three = trace_route_weights(params, workers=3)
+    assert started == [2, 3]
+    assert one.counts == two.counts == three.counts
+    assert one.min_positive_weight() == params.delta_i
+
+
+def test_dropped_count_raises_typed_error(monkeypatch):
+    real = kernels.coset_weight_counts
+
+    def drop_one(qv, trv2, pair, neg, counts):
+        real(qv, trv2, pair, neg, counts)
+        counts[np.nonzero(counts)[0][-1]] -= 1
+
+    monkeypatch.setattr(kernels, "coset_weight_counts", drop_one)
+    with pytest.raises(CountMismatch):
+        trace_route_weights(code_params(2, 4, 1), workers=1)
+    assert issubclass(CountMismatch, BchFormsError)
 
 
 def test_count_zeros_and_weight():
