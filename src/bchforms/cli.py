@@ -35,11 +35,7 @@ class CommandMismatch(Exception):
 
 def _budget(args) -> EnumerationBudget:
     raw = getattr(args, "budget", None)
-    if not raw or raw == "default":
-        return EnumerationBudget.from_env()
-    if raw == "small":
-        return EnumerationBudget(max_codewords=1 << 16, max_field_size=1 << 12)
-    return EnumerationBudget(max_codewords=int(raw))
+    return EnumerationBudget.parse(raw) if raw else EnumerationBudget.from_env()
 
 
 def cmd_params(args):

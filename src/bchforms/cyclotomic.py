@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCode, IndexOutOfTheoremRange, OutOfRange
+from .errors import CountMismatch, DegenerateCode, IndexOutOfTheoremRange, NotPrime, OutOfRange
+from .gfarith import factorize
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,8 @@ def theorem_i_range(q: int, m: int) -> range:
 
 
 def _check_qm(q: int, m: int) -> None:
+    if len(factorize(q)) != 1:
+        raise NotPrime(f"{q} is not a prime power")
     min_m = {2: 3, 3: 2}.get(q, 1)
     if m < min_m:
         raise IndexOutOfTheoremRange(f"q={q} needs m >= {min_m}")
@@ -161,11 +164,11 @@ def code_params(q: int, m: int, i: int, check_dimension: bool = True) -> CodePar
     if check_dimension and q ** m <= 1 << 20:
         by_cosets = bch_dimension(q, m, delta_i)
         if by_cosets != dimension:
-            raise AssertionError(
+            raise CountMismatch(
                 f"dimension mismatch for ({q},{m},{i}): closed form {dimension}, cosets {by_cosets}"
             )
     if not is_coset_leader(delta_i, q, m):
-        raise AssertionError(f"delta_i={delta_i} is not a coset leader for ({q},{m},{i})")
+        raise CountMismatch(f"delta_i={delta_i} is not a coset leader for ({q},{m},{i})")
     return CodeParams(q=q, m=m, i=i, delta=delta, delta_i=delta_i,
                       dimension=dimension, bose_distance=delta_i)
 

@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ArityMismatch, EvenCharacteristic, InvalidSubfield, RankZero
+from .errors import ArityMismatch, EvenCharacteristic, InvalidSubfield, OutOfRange, RankZero
 from .gfarith import FieldContext, SmallField, small_field
 
 
@@ -65,7 +65,7 @@ class RankType:
 
     def __post_init__(self):
         if self.rank == 0 and self.type not in (0, 1):
-            raise ValueError("rank 0 must carry the conventional type")
+            raise OutOfRange("rank 0 must carry the conventional type")
 
 
 @dataclass
@@ -90,6 +90,8 @@ class TraceQuadraticForm:
         if len(lambdas) != len(slots):
             raise ArityMismatch(f"expected {len(slots)} lambdas, got {len(lambdas)}")
         for slot, lam in zip(slots, lambdas):
+            if not 0 <= lam < field.size:
+                raise OutOfRange(f"lambda={lam} is not a field element index in [0, {field.size})")
             if slot.half and not field.in_half(lam):
                 raise InvalidSubfield(f"lambda for slot j={slot.j} must lie in GF(q^(m/2))")
         self.field = field

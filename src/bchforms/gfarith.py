@@ -8,10 +8,10 @@ with the base-p encoding this makes the base-p digits of the integer the
 full coordinate vector over GF(p).  Zero is 0, one is 1, and GF(q) sits
 inside GF(q^m) as the indices 0..q-1.
 
-Multiplication in the extension goes through discrete-log tables built at
-construction time; addition goes through a precomputed base-p digit matrix.
-All tables are immutable after construction, so contexts are safe to share
-across worker threads.
+Multiplication in the extension goes through discrete-log tables, built by
+GF(p)-linear algebra on digit vectors; addition is base-p digit arithmetic
+(XOR when p = 2).  All tables are immutable after construction, so contexts
+are safe to share across worker threads.
 """
 
 from __future__ import annotations
@@ -137,13 +137,6 @@ def poly_powmod(F: "SmallField", a: list[int], k: int, mod: list[int]) -> list[i
     return result
 
 
-def poly_eval(F: "SmallField", a: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = F.add_el(F.mul_el(acc, x), c)
-    return acc
-
-
 def poly_is_irreducible(F: "SmallField", f: list[int]) -> bool:
     """Irreducibility over GF(q) via the Frobenius criterion:
     x^(q^d) == x mod f, and gcd(x^(q^(d/r)) - x, f) = 1 for prime r | d."""
@@ -216,7 +209,6 @@ class SmallField:
         for i in range(e):
             digs[:, i] = v % pp
             v //= pp
-        self._digits = digs
         ppow = pp ** np.arange(e)
         self.add = ((digs[:, None, :] + digs[None, :, :]) % pp @ ppow).astype(np.uint8)
         self.neg = (((-digs) % pp) @ ppow).astype(np.uint8)
@@ -284,9 +276,6 @@ class SmallField:
             raise EvenCharacteristic("no 1/2 in characteristic two")
         return self.mul_el(a, self.inv_el(self.add_el(1, 1)))
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def __repr__(self) -> str:
         return f"SmallField(p={self.p}, e={self.e})"
 
@@ -320,6 +309,27 @@ def eta_minus_one(q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _digits(x, p: int, count: int) -> np.ndarray:
+    """Base-p digits of the integers x, lowest first: shape x.shape + (count,)."""
+    x = np.asarray(x, dtype=np.int64)
+    out = np.empty(x.shape + (count,), dtype=np.int64)
+    for k in range(count):
+        x, out[..., k] = np.divmod(x, p)
+    return out
+
+
+def _gfp_apply(L: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+    """Apply the GF(p)-matrix L to the vectors whose base-p digits are the
+    integers x; the images come back base-p encoded (row r of L gives digit
+    r).  For p = 2 each output bit is the parity of x & row."""
+    if p == 2:
+        out = np.zeros(len(x), dtype=np.int64)
+        for r, mask in enumerate(L @ (1 << np.arange(L.shape[1], dtype=np.int64))):
+            out |= (np.bitwise_count(x & mask) & 1).astype(np.int64) << r
+        return out
+    return (_digits(x, p, L.shape[1]) @ L.T % p) @ p ** np.arange(L.shape[0], dtype=np.int64)
+
+
 @dataclass
 class FieldContext:
     """The tower GF(p) < GF(q) < GF(q^m) with log/exp tables.
@@ -333,8 +343,6 @@ class FieldContext:
     alpha: int = 0
     exp_index: np.ndarray = dataclass_field(default=None, repr=False)
     log_index: np.ndarray = dataclass_field(default=None, repr=False)
-    _pdigits: np.ndarray = dataclass_field(default=None, repr=False)
-    _ppow: np.ndarray = dataclass_field(default=None, repr=False)
     _trace_vec: np.ndarray = dataclass_field(default=None, repr=False)
     _half_trace_vec: np.ndarray = dataclass_field(default=None, repr=False)
 
@@ -374,19 +382,24 @@ class FieldContext:
     # -- ring operations -------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
-        d = (self._pdigits[x] + self._pdigits[y]) % self.p
-        return int(d @ self._ppow)
+        return self._digitwise(x, y, 1)
 
     def neg(self, x: int) -> int:
-        d = (-self._pdigits[x]) % self.p
-        return int(d @ self._ppow)
+        return self._digitwise(0, x, -1)
 
     def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
+        return self._digitwise(x, y, -1)
 
-    def add_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        d = (self._pdigits[xs] + self._pdigits[ys]) % self.p
-        return d @ self._ppow
+    def _digitwise(self, x: int, y: int, sign: int) -> int:
+        """x + sign*y, base-p digit by digit (XOR when p = 2)."""
+        x, y, p = int(x), int(y), self.base.p
+        if p == 2:
+            return x ^ y
+        out, w = 0, 1
+        while x > 0 or y > 0:
+            out += (x + sign * y) % p * w
+            x, y, w = x // p, y // p, w * p
+        return out
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
@@ -402,10 +415,6 @@ class FieldContext:
         if x == 0:
             return 0 if k > 0 else 1
         return int(self.exp_index[(int(self.log_index[x]) * k) % self.n])
-
-    def scalar_mul(self, c: int, x: int) -> int:
-        """c in GF(q) times x; GF(q) embeds as indices < q."""
-        return self.mul(c, x)
 
     def frob(self, x: int, j: int = 1) -> int:
         """x^(q^j)."""
@@ -428,10 +437,22 @@ class FieldContext:
 
     def half_subfield_elements(self) -> list[int]:
         """All q^(m/2) elements of GF(q^(m/2)) as GF(q^m) indices."""
-        s = self.half_step
-        return [0] + [int(self.exp_index[(t * s) % self.n]) for t in range(self.q ** (self.m // 2) - 1)]
+        return [0] + self.exp_index[::self.half_step].tolist()
 
     # -- traces -----------------------------------------------------------
+
+    def _frob_sum(self, x: int, terms: int, step: int = 1) -> int:
+        """sum_{j<terms} x^(q^(step*j))."""
+        acc = 0
+        for _ in range(terms):
+            acc = self.add(acc, x)
+            x = self.frob(x, step)
+        return acc
+
+    def _frob_sum_matrix(self, terms: int) -> np.ndarray:
+        """GF(p)-matrix of x -> sum_{j<terms} x^(q^j); column k is the image of p^k."""
+        count = self.e * self.m
+        return _digits([self._frob_sum(self.p ** k, terms) for k in range(count)], self.p, count).T
 
     def trace_to(self, x: int, subfield_degree: int = 1) -> int:
         """Relative trace from GF(q^m) down to GF(q^subfield_degree).
@@ -444,12 +465,7 @@ class FieldContext:
             return x
         if d != 1 and (self.m % 2 or d != self.m // 2):
             raise InvalidSubfield(f"no trace target GF(q^{d}) in this tower")
-        acc = 0
-        y = x
-        for _ in range(self.m // d):
-            acc = self.add(acc, y)
-            y = self.frob(y, d)
-        return acc
+        return self._frob_sum(x, self.m // d, d)
 
     def trace_to_base(self, x: int) -> int:
         return self.trace_to(x, 1)
@@ -458,11 +474,7 @@ class FieldContext:
         """Trace of the half field GF(q^(m/2)) down to GF(q); y must lie in it."""
         if not self.in_half(y):
             raise InvalidSubfield("element is not in GF(q^(m/2))")
-        acc = 0
-        z = y
-        for _ in range(self.m // 2):
-            acc = self.add(acc, z)
-            z = self.frob(z)
+        acc = self._frob_sum(y, self.m // 2)
         if not self.in_base(acc):
             raise BchFormsError("half-field trace left GF(q)")  # internal bug
         return acc
@@ -473,16 +485,10 @@ class FieldContext:
     def trace_vec(self) -> np.ndarray:
         """trace_vec[t] = Tr_{GF(q^m)->GF(q)}(alpha^t), int64 of length n."""
         if self._trace_vec is None:
-            n, q = self.n, self.q
-            acc = np.zeros((n, self._pdigits.shape[1]), dtype=np.int64)
-            t = np.arange(n, dtype=np.int64)
-            for j in range(self.m):
-                idx = (t * pow(self.q, j, n)) % n
-                acc += self._pdigits[self.exp_index[idx]]
-            vals = (acc % self.p) @ self._ppow
-            if (vals >= q).any():
+            tau = self._frob_sum_matrix(self.m)
+            if tau[self.e:].any():
                 raise BchFormsError("trace left GF(q)")  # internal bug
-            self._trace_vec = vals.astype(np.int64)
+            self._trace_vec = _gfp_apply(tau[:self.e], self.exp_index, self.p)
         return self._trace_vec
 
     @property
@@ -491,17 +497,11 @@ class FieldContext:
         exponents t that are multiples of q^(m/2)+1 (zero elsewhere)."""
         if self._half_trace_vec is None:
             s = self.half_step
-            n, q = self.n, self.q
-            t = np.arange(0, n, s, dtype=np.int64)
-            acc = np.zeros((len(t), self._pdigits.shape[1]), dtype=np.int64)
-            for j in range(self.m // 2):
-                idx = (t * pow(self.q, j, n)) % n
-                acc += self._pdigits[self.exp_index[idx]]
-            vals = (acc % self.p) @ self._ppow
-            if (vals >= q).any():
+            vals = _gfp_apply(self._frob_sum_matrix(self.m // 2), self.exp_index[::s], self.p)
+            if (vals >= self.q).any():
                 raise BchFormsError("half trace left GF(q)")  # internal bug
-            out = np.zeros(n, dtype=np.int64)
-            out[t] = vals
+            out = np.zeros(self.n, dtype=np.int64)
+            out[::s] = vals
             self._half_trace_vec = out
         return self._half_trace_vec
 
@@ -546,16 +546,6 @@ def build_field(p: int, e: int, m: int, ext_modulus: list[int] | None = None) ->
     ctx = FieldContext(base=base, m=m, ext_modulus=ext_modulus)
     size = q ** m
     n = size - 1
-    p_count = base.e * m
-
-    # base-p digit matrix for vectorized addition
-    digs = np.zeros((size, p_count), dtype=np.int64)
-    v = np.arange(size)
-    for i in range(p_count):
-        digs[:, i] = v % p
-        v //= p
-    ctx._pdigits = digs
-    ctx._ppow = p ** np.arange(p_count, dtype=np.int64)
 
     # find alpha: smallest element index of order n
     def el_mul(x: int, y: int) -> int:
@@ -589,19 +579,19 @@ def build_field(p: int, e: int, m: int, ext_modulus: list[int] | None = None) ->
         raise BchFormsError("no primitive element found")  # impossible for a field
     ctx.alpha = alpha
 
-    # exp table: iterate the GF(p)-linear map "multiply by alpha"
-    A = np.zeros((p_count, p_count), dtype=np.int64)
-    for i in range(p_count):
-        prod = el_mul(alpha, int(p ** i))
-        A[:, i] = digs[prod]
-    exp_digits = np.zeros((n, p_count), dtype=np.int64)
-    vcur = digs[1].copy()
-    for k in range(n):
-        exp_digits[k] = vcur
-        vcur = (A @ vcur) % p
-    if not np.array_equal(vcur, digs[1]):
+    # exp table by block doubling: exp[B:2B] = alpha^B * exp[:B], where
+    # "multiply by alpha^B" is the GF(p)-matrix A^B on base-p digit vectors
+    count = base.e * m
+    A = _digits([el_mul(alpha, p ** k) for k in range(count)], p, count).T
+    exp_index = np.empty(n, dtype=np.int64)
+    exp_index[0] = 1
+    AB, B = A, 1
+    while B < n:
+        k = min(B, n - B)
+        exp_index[B:B + k] = _gfp_apply(AB, exp_index[:k], p)
+        AB, B = AB @ AB % p, 2 * B
+    if _gfp_apply(A, exp_index[-1:], p)[0] != 1:
         raise BchFormsError("alpha order mismatch")  # internal bug
-    exp_index = (exp_digits @ ctx._ppow).astype(np.int64)
     log_index = np.full(size, -1, dtype=np.int64)
     log_index[exp_index] = np.arange(n)
     if (log_index[1:] < 0).any():

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .cyclotomic import CodeParams
-from .errors import BudgetExceeded, CountMismatch
+from .errors import BudgetExceeded, CountMismatch, OutOfRange
 from .forms import CoefficientForm, classify_quadratic, family_size, family_slots, iter_family, slot_domain
 from .gfarith import FieldContext, field_for, small_field
 from .schemes import InnerDistribution
@@ -43,14 +43,21 @@ class EnumerationBudget:
     max_field_size: int = DEFAULT_MAX_FIELD
 
     @staticmethod
-    def from_env() -> "EnumerationBudget":
-        """BCHFORMS_BUDGET: 'small', 'default', or an integer codeword cap."""
-        raw = os.environ.get("BCHFORMS_BUDGET", "").strip().lower()
+    def parse(raw: str | None) -> "EnumerationBudget":
+        """'small', 'default' (or empty), or a positive integer codeword cap."""
+        raw = (raw or "").strip().lower()
         if not raw or raw == "default":
             return EnumerationBudget()
         if raw == "small":
             return EnumerationBudget(max_codewords=1 << 16, max_field_size=1 << 12)
+        if not raw.isdecimal() or int(raw) < 1:
+            raise OutOfRange(f"budget {raw!r} is not 'small', 'default' or a positive integer")
         return EnumerationBudget(max_codewords=int(raw))
+
+    @staticmethod
+    def from_env() -> "EnumerationBudget":
+        """BCHFORMS_BUDGET, read by parse."""
+        return EnumerationBudget.parse(os.environ.get("BCHFORMS_BUDGET"))
 
     def check_codewords(self, count: int) -> None:
         if count > self.max_codewords:

@@ -15,7 +15,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import BudgetExceeded, NegativeEntry, NonIntegralResult, ParityMismatch
+from .errors import BudgetExceeded, NegativeEntry, NonIntegralResult, OutOfRange, ParityMismatch
 from .forms import (
     GramMatrix,
     TraceQuadraticForm,
@@ -298,7 +298,7 @@ def schmidt_for_family(spec: FamilySpec) -> InnerDistribution:
 def dg_bound(n: int, d: int, q: int) -> int:
     """Delsarte-Goethals size bound for 2d-codes of alternating forms on GF(q)^n."""
     if not 0 <= d <= n // 2:
-        raise ValueError("need 0 <= d <= floor(n/2)")
+        raise OutOfRange("need 0 <= d <= floor(n/2)")
     if n % 2:
         return q ** (n * (n + 1) // 2 - n * d)
     return q ** ((n - 1) * (n + 2) // 2 - (n - 1) * d)

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import kernels
 from .cyclotomic import CodeParams
-from .errors import BudgetExceeded, EvenCharacteristic, RankZero, WitnessNotFound
-from .forms import RankType, TraceQuadraticForm, classify_quadratic, family_size, iter_family
+from .errors import BudgetExceeded, EvenCharacteristic, OutOfRange, RankZero, WitnessNotFound
+from .forms import RankType, TraceQuadraticForm, all_rank_types, classify_quadratic, family_size, iter_family
 from .gfarith import FieldContext, eta_minus_one, field_for, small_field
 from .schemes import FamilySpec, schmidt_for_family
 
@@ -279,6 +279,8 @@ def appendix_frequency_tables(q: int, m: int, rt: RankType, c_class: str) -> dic
     if rt.rank == 0:
         raise RankZero("appendix tables need rank >= 1")
     F = small_field(q)
+    if rt not in all_rank_types(q, m):
+        raise OutOfRange(f"no quadratic form of rank {rt.rank} and type {rt.type} on GF({q})^{m}")
     base = q ** (m - 1)
     out: dict[int, int] = {}
 
@@ -290,7 +292,7 @@ def appendix_frequency_tables(q: int, m: int, rt: RankType, c_class: str) -> dic
 
     if F.p != 2:
         if c_class not in C_CLASSES_ODD:
-            raise ValueError(f"odd q c_class must be one of {C_CLASSES_ODD}")
+            raise OutOfRange(f"odd q c_class must be one of {C_CLASSES_ODD}")
         r, tau = rt.rank, rt.type
         em1 = eta_minus_one(q)
         if r % 2:
@@ -335,7 +337,7 @@ def appendix_frequency_tables(q: int, m: int, rt: RankType, c_class: str) -> dic
         return out
 
     if c_class not in C_CLASSES_EVEN:
-        raise ValueError(f"even q c_class must be one of {C_CLASSES_EVEN}")
+        raise OutOfRange(f"even q c_class must be one of {C_CLASSES_EVEN}")
     if rt.type == 1:
         r = (rt.rank - 1) // 2
         off = q ** (m - r - 1)

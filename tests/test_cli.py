@@ -128,3 +128,24 @@ def test_verify_small_budget(capsys):
     code, doc = run_cli(capsys, "verify", "examples", "--budget", "small")
     assert code == 0
     assert doc["payload"]["failed"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify-form", "-q", "3", "-m", "3", "-i", "1", "--lambdas", "-1"),
+    ("classify-form", "-q", "3", "-m", "3", "-i", "1", "--lambdas", "99999"),
+    ("classify-form", "-q", "3", "-m", "3", "-i", "1", "--lambdas", "27"),
+    ("params", "-q", "6", "-m", "3", "-i", "1"),
+    ("enumerator", "-q", "3", "-m", "3", "-i", "1", "--mode", "oracle", "--budget", "foo"),
+    ("verify", "examples", "--budget", "-1"),
+    ("dg-bound", "-n", "7", "-d", "9", "-q", "2"),
+    ("appendix-table", "-q", "5", "-m", "4", "--rank", "9", "--type", "1", "--c-class", "nonzero-sum"),
+    ("appendix-table", "-q", "5", "-m", "4", "--rank", "2", "--type", "5", "--c-class", "zero"),
+    ("appendix-table", "-q", "4", "-m", "4", "--rank", "2", "--type", "1", "--c-class", "zero"),
+    ("appendix-table", "-q", "5", "-m", "4", "--rank", "0", "--type", "5", "--c-class", "zero"),
+    ("appendix-table", "-q", "5", "-m", "4", "--rank", "2", "--type", "1", "--c-class", "nonzero"),
+])
+def test_bad_input_is_one_json_error(capsys, argv):
+    code, doc = run_cli(capsys, *argv)
+    assert code == 1
+    assert set(doc) == {"command", "error", "message"}
+    assert doc["error"] in ("OutOfRange", "NotPrime")

@@ -1,7 +1,7 @@
 import pytest
 
 from bchforms import cyclotomic as cyc
-from bchforms.errors import DegenerateCode, IndexOutOfTheoremRange, OutOfRange
+from bchforms.errors import DegenerateCode, IndexOutOfTheoremRange, NotPrime, OutOfRange
 
 
 def test_q_adic_examples():
@@ -128,6 +128,9 @@ def test_code_params_errors():
         cyc.code_params(2, 3, 1)  # delta_1 = 1
     with pytest.raises(DegenerateCode):
         cyc.code_params(4, 1, 0)  # delta_0 = 1
+    for q in (6, 1, 0):
+        with pytest.raises(NotPrime):
+            cyc.code_params(q, 3, 1)
 
 
 def test_dimension_closed_form_matches_cosets_everywhere():

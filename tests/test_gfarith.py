@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,73 @@ from bchforms.gfarith import FieldContext, SmallField, build_field, field_for, s
 
 
 SMALL_TOWERS = [(2, 1, 3), (2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (3, 2, 1)]
+DESK_TOWERS = SMALL_TOWERS + [(2, 1, 16), (3, 1, 9), (2, 2, 7), (5, 1, 6)]
+
+
+def reference_tables(p: int, e: int, m: int):
+    """alpha, exp, log, trace and half-trace vectors the slow way: a size x e*m
+    base-p digit matrix, n successive products by the "multiply by alpha"
+    matrix, and traces as sums of m (or m/2) Frobenius gathers."""
+    base = SmallField(p, e)
+    q = base.q
+    modulus = gfarith.smallest_irreducible(base, m)
+    size, n, count = q ** m, q ** m - 1, e * m
+    digs = np.zeros((size, count), dtype=np.int64)
+    v = np.arange(size)
+    for k in range(count):
+        digs[:, k] = v % p
+        v //= p
+    ppow = p ** np.arange(count, dtype=np.int64)
+
+    def el_mul(x, y):
+        cx = [x // q ** k % q for k in range(m)]
+        cy = [y // q ** k % q for k in range(m)]
+        prod = gfarith.poly_mod(base, gfarith.poly_mul(base, cx, cy), modulus)
+        return sum(c * q ** k for k, c in enumerate(prod))
+
+    def el_pow(x, k):
+        r = 1
+        while k:
+            if k & 1:
+                r = el_mul(r, x)
+            x = el_mul(x, x)
+            k >>= 1
+        return r
+
+    primes = gfarith.factorize(n)
+    alpha = next(c for c in range(1, size)
+                 if el_pow(c, n) == 1 and all(el_pow(c, n // r) != 1 for r in primes))
+    A = np.zeros((count, count), dtype=np.int64)
+    for k in range(count):
+        A[:, k] = digs[el_mul(alpha, p ** k)]
+    exp_digits = np.zeros((n, count), dtype=np.int64)
+    vcur = digs[1].copy()
+    for k in range(n):
+        exp_digits[k] = vcur
+        vcur = (A @ vcur) % p
+    assert np.array_equal(vcur, digs[1])
+    exp = exp_digits @ ppow
+    log = np.full(size, -1, dtype=np.int64)
+    log[exp] = np.arange(n)
+
+    def frobenius_sum(t, terms):
+        acc = np.zeros((len(t), count), dtype=np.int64)
+        for j in range(terms):
+            acc += digs[exp[(t * pow(q, j, n)) % n]]
+        return (acc % p) @ ppow
+
+    trace = frobenius_sum(np.arange(n, dtype=np.int64), m)
+    half = None
+    if m % 2 == 0:
+        t = np.arange(0, n, q ** (m // 2) + 1, dtype=np.int64)
+        half = np.zeros(n, dtype=np.int64)
+        half[t] = frobenius_sum(t, m // 2)
+    return alpha, exp, log, trace, half
+
+
+def digitwise(p: int, count: int, *xs: int, sign: int = 1) -> int:
+    """Coordinate-wise sign * (x_1 + x_2 + ...) over GF(p), digit by digit."""
+    return sum(sign * sum(x // p ** k % p for x in xs) % p * p ** k for k in range(count))
 
 
 def brute_mul(ctx: FieldContext, x: int, y: int) -> int:
@@ -198,3 +266,81 @@ def test_smallfield_gf9_squares():
     assert len(F9.squares) == 4
     sq = {F9.mul_el(a, a) for a in range(1, 9)}
     assert sq == F9.squares
+
+
+@pytest.mark.parametrize("p,e,m", DESK_TOWERS)
+def test_tables_equal_reference(p, e, m):
+    ctx = build_field(p, e, m)
+    alpha, exp, log, trace, half = reference_tables(p, e, m)
+    assert ctx.alpha == alpha
+    assert ctx.exp_index.dtype == ctx.log_index.dtype == ctx.trace_vec.dtype == np.int64
+    assert ctx.exp_index.tobytes() == exp.tobytes()
+    assert ctx.log_index.tobytes() == log.tobytes()
+    assert ctx.trace_vec.tobytes() == trace.tobytes()
+    if half is not None:
+        assert ctx.half_trace_vec.tobytes() == half.tobytes()
+
+
+def minimal_polynomial_of_alpha(ctx: FieldContext) -> list[int]:
+    """prod_j (x - alpha^(q^j)) by schoolbook products and digit-wise sums,
+    lowest coefficient first; every coefficient must lie in GF(q)."""
+    count = ctx.e * ctx.m
+
+    def add(x, y):
+        return digitwise(ctx.p, count, x, y)
+
+    def power(x, k):
+        r = 1
+        for _ in range(k):
+            r = brute_mul(ctx, r, x)
+        return r
+
+    poly, root = [1], ctx.alpha
+    for _ in range(ctx.m):
+        minus_root = digitwise(ctx.p, count, root, sign=-1)
+        shifted = [0] + poly
+        poly = [add(shifted[k], brute_mul(ctx, minus_root, poly[k]) if k < len(poly) else 0)
+                for k in range(len(shifted))]
+        root = power(root, ctx.q)
+    assert root == ctx.alpha and poly[-1] == 1
+    assert all(c < ctx.q for c in poly)
+    return poly
+
+
+@pytest.mark.parametrize("p,e,m", DESK_TOWERS + [(2, 1, 20)])
+def test_trace_vec_is_m_sequence_of_minimal_polynomial(p, e, m):
+    """Tr(alpha^t) satisfies the linear recurrence whose characteristic
+    polynomial is the minimal polynomial of alpha over GF(q)."""
+    ctx = build_field(p, e, m)
+    F, trv = ctx.base, ctx.trace_vec
+    coeffs = minimal_polynomial_of_alpha(ctx)
+    acc = np.zeros(ctx.n, dtype=np.int64)
+    for b, c in enumerate(coeffs):
+        acc = F.add[acc, F.mul[c, np.roll(trv, -b)]].astype(np.int64)
+    assert not acc.any()
+    assert trv.any()
+
+
+def test_build_2_20_memory():
+    tracemalloc.start()
+    try:
+        ctx = build_field(2, 1, 20)
+        ctx.trace_vec
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 << 20
+
+
+@pytest.mark.parametrize("q,m", [(2, 12), (3, 7), (5, 5), (4, 5), (9, 3)])
+def test_scalar_add_neg_digitwise(q, m):
+    ctx = field_for(q, m)
+    count = ctx.e * ctx.m
+    rng = np.random.default_rng(q * 100 + m)
+    pairs = list(rng.integers(0, ctx.size, (300, 2))) + [(0, 0), (ctx.size - 1, ctx.size - 1), (0, ctx.size - 1)]
+    for x, y in pairs:
+        s = ctx.add(x, y)
+        assert type(s) is int
+        assert s == digitwise(ctx.p, count, int(x), int(y))
+        assert ctx.neg(x) == digitwise(ctx.p, count, int(x), sign=-1)
+        assert ctx.sub(x, y) == digitwise(ctx.p, count, int(x), digitwise(ctx.p, count, int(y), sign=-1))

@@ -4,7 +4,7 @@ import pytest
 from bchforms import kernels, oracle
 from bchforms.bchcode import generator_polynomial
 from bchforms.cyclotomic import code_params
-from bchforms.errors import BchFormsError, BudgetExceeded, CountMismatch
+from bchforms.errors import BchFormsError, BudgetExceeded, CountMismatch, OutOfRange
 from bchforms.gfarith import field_for
 from bchforms.oracle import (
     EnumerationBudget,
@@ -25,6 +25,18 @@ def test_budget_from_env(monkeypatch):
     assert EnumerationBudget.from_env().max_codewords == 1 << 16
     monkeypatch.setenv("BCHFORMS_BUDGET", "1024")
     assert EnumerationBudget.from_env().max_codewords == 1024
+    monkeypatch.setenv("BCHFORMS_BUDGET", "foo")
+    with pytest.raises(OutOfRange):
+        EnumerationBudget.from_env()
+
+
+def test_budget_parse():
+    assert EnumerationBudget.parse(None) == EnumerationBudget.parse(" Default ") == EnumerationBudget()
+    assert EnumerationBudget.parse("small") == EnumerationBudget(max_codewords=1 << 16, max_field_size=1 << 12)
+    assert EnumerationBudget.parse("4096").max_codewords == 4096
+    for raw in ("foo", "1.5", "0", "-3", "1e6"):
+        with pytest.raises(OutOfRange):
+            EnumerationBudget.parse(raw)
 
 
 def test_budget_refusal():
