@@ -14,7 +14,7 @@ import numpy as np
 
 from . import gfarith
 from .cyclotomic import CodeParams, bch_dimension, cyclotomic_coset
-from .errors import OutOfRange
+from .errors import BchFormsError, CountMismatch, OutOfRange
 from .forms import TraceQuadraticForm, iter_family
 from .gfarith import FieldContext, field_for
 
@@ -61,10 +61,10 @@ def minimal_polynomial(field: FieldContext, s: int) -> list[int]:
         poly = nxt
     for c in poly:
         if not field.in_base(c):
-            raise AssertionError("minimal polynomial left GF(q)")  # internal bug
-    out = [int(c) for c in poly]
-    assert len(out) - 1 == coset.size
-    return out
+            raise BchFormsError("minimal polynomial left GF(q)")  # internal bug
+    if len(poly) - 1 != coset.size:
+        raise CountMismatch(f"minimal polynomial of degree {len(poly) - 1}, coset size {coset.size}")
+    return [int(c) for c in poly]
 
 
 def generator_polynomial(q: int, m: int, delta: int, field: FieldContext | None = None) -> CyclicCode:
@@ -78,7 +78,8 @@ def generator_polynomial(q: int, m: int, delta: int, field: FieldContext | None 
     for s in leaders:
         g = gfarith.poly_mul(fld.base, g, minimal_polynomial(fld, s))
     dim = n - (len(g) - 1)
-    assert dim == bch_dimension(q, m, delta)
+    if dim != bch_dimension(q, m, delta):
+        raise CountMismatch(f"generator degree gives dimension {dim}, cosets {bch_dimension(q, m, delta)}")
     return CyclicCode(field=fld, length=n, generator=g, dimension=dim)
 
 

@@ -17,8 +17,8 @@ from . import cyclotomic as cyc
 from . import oracle as orc
 from . import weights as wts
 from .bchcode import generator_polynomial
-from .errors import BchFormsError
-from .forms import RankType, TraceQuadraticForm, classify_quadratic, family_slots, polarize
+from .errors import BchFormsError, OutOfRange
+from .forms import RankType, TraceQuadraticForm, classify_quadratic, polarize
 from .gfarith import field_for
 from .oracle import EnumerationBudget
 from .schemes import FamilySpec, census_inner_distribution, dg_bound, family_design_check, schmidt_for_family
@@ -83,16 +83,18 @@ def cmd_enumerator(args):
 
 
 def _parse_lambdas(raw: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in raw.split(",") if v.strip() != "")
+    try:
+        return tuple(int(v) for v in raw.split(",") if v.strip() != "")
+    except ValueError:
+        raise OutOfRange(f"--lambdas {raw!r} is not a comma-separated list of integers") from None
 
 
 def cmd_classify_form(args):
-    fld = field_for(args.q, args.m)
     lambdas = _parse_lambdas(args.lambdas)
-    slots = family_slots(args.m, args.i)
-    if len(lambdas) != len(slots):
-        raise BchFormsError(f"need {len(slots)} lambdas for (m,i)=({args.m},{args.i})")
-    form = TraceQuadraticForm(fld, args.i, lambdas)
+    if args.m < 1:
+        raise OutOfRange(f"m={args.m} must be >= 1")
+    EnumerationBudget.from_env().check_field(args.q ** args.m)
+    form = TraceQuadraticForm(field_for(args.q, args.m), args.i, lambdas)
     rt = classify_quadratic(form)
     return {
         "lambdas": list(lambdas),
@@ -238,9 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", dest="max_m", type=int, default=None)
     p.add_argument("--budget", default=None)
     p.add_argument("--workers", type=int, default=None)
-
-    ap.add_argument("--seed", type=int, default=None,
-                    help="reserved; all computations are deterministic")
     return ap
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CountMismatch, DegenerateCode, IndexOutOfTheoremRange, NotPrime, OutOfRange
-from .gfarith import factorize
+from .errors import CountMismatch, DegenerateCode, IndexOutOfTheoremRange, OutOfRange
+from .gfarith import prime_power
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,9 @@ def all_coset_leaders(q: int, m: int) -> list[tuple[int, int]]:
 
 def coset_leaders_geq(threshold: int, q: int, m: int) -> list[int]:
     """Sorted coset leaders >= threshold, by direct enumeration."""
+    prime_power(q)
+    if m < 1:
+        raise OutOfRange(f"m={m} must be >= 1")
     n = q ** m - 1
     if not 1 <= threshold < n:
         raise OutOfRange(f"threshold={threshold} out of [1, q^m-1)")
@@ -138,8 +141,7 @@ def theorem_i_range(q: int, m: int) -> range:
 
 
 def _check_qm(q: int, m: int) -> None:
-    if len(factorize(q)) != 1:
-        raise NotPrime(f"{q} is not a prime power")
+    prime_power(q)
     min_m = {2: 3, 3: 2}.get(q, 1)
     if m < min_m:
         raise IndexOutOfTheoremRange(f"q={q} needs m >= {min_m}")

@@ -20,8 +20,16 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ArityMismatch, EvenCharacteristic, InvalidSubfield, OutOfRange, RankZero
-from .gfarith import FieldContext, SmallField, small_field
+from .errors import (
+    ArityMismatch,
+    BchFormsError,
+    CountMismatch,
+    EvenCharacteristic,
+    InvalidSubfield,
+    OutOfRange,
+    RankZero,
+)
+from .gfarith import FieldContext, SmallField, digitwise, small_field
 
 
 @dataclass(frozen=True)
@@ -39,11 +47,11 @@ def family_slots(m: int, i: int) -> list[SlotSpec]:
     return [SlotSpec(m // 2, True)] + [SlotSpec(j, False) for j in range((m + 2) // 2, i + 2)]
 
 
-def slot_domain(field: FieldContext, slot: SlotSpec) -> list[int]:
-    """All admissible lambda values for a slot, sorted by element index."""
-    if slot.half:
-        return sorted(field.half_subfield_elements())
-    return list(range(field.size))
+def family_domains(field: FieldContext, i: int) -> list[list[int]]:
+    """The admissible lambda values of each slot of Q1(i)/Q2(i), sorted by
+    element index; their product, in order, is the family."""
+    return [sorted(field.half_subfield_elements()) if s.half else list(range(field.size))
+            for s in family_slots(field.m, i)]
 
 
 def family_size(q: int, m: int, i: int) -> int:
@@ -139,12 +147,6 @@ class TraceQuadraticForm:
             self._values = vals
         return self._values
 
-    def evaluate_index(self, x: int) -> int:
-        return int(self.values_by_index()[x])
-
-    def value_at_coords(self, coords) -> int:
-        return self.evaluate_index(self.field.from_coeffs(coords))
-
     def __repr__(self) -> str:
         return f"TraceQuadraticForm(q={self.q}, m={self.m}, i={self.i}, lambdas={self.lambdas})"
 
@@ -168,19 +170,6 @@ class CoefficientForm:
     def is_zero(self) -> bool:
         return not self.coeffs.any()
 
-    def value_at_coords(self, coords) -> int:
-        F = self.field_q
-        acc = 0
-        for a in range(self.m):
-            xa = int(coords[a])
-            if xa == 0:
-                continue
-            for b in range(self.m):
-                c = int(self.coeffs[a, b])
-                if c:
-                    acc = F.add_el(acc, F.mul_el(c, F.mul_el(xa, int(coords[b]))))
-        return acc
-
     def values_by_index(self) -> np.ndarray:
         """Values over all q^m points, index encoding sum(c_i q^i)."""
         if self._values is None:
@@ -203,13 +192,6 @@ class CoefficientForm:
             self._values = acc
         return self._values
 
-    def evaluate_index(self, x: int) -> int:
-        return int(self.values_by_index()[x])
-
-
-def _coords_to_index(coords, q: int) -> int:
-    return sum(int(c) * q ** i for i, c in enumerate(coords))
-
 
 def polarize(form) -> GramMatrix:
     """Gram matrix of the bilinear form attached to Q on the fixed basis.
@@ -217,28 +199,19 @@ def polarize(form) -> GramMatrix:
     Odd q: B(x,y) = (Q(x+y)-Q(x)-Q(y))/2, so B(x,x) = Q(x) and the Gram
     matrix coincides with the coefficient matrix of Q.  Even q:
     B(x,y) = Q(x+y)+Q(x)+Q(y), which is alternating.
+
+    Both form classes index the point sum_a c_a e_a as sum_a c_a q^a, so
+    the basis vectors are the indices q^a and x+y is their digitwise sum.
     """
     F = form.field_q
     m = form.m
-    q = F.q
     vals = form.values_by_index()
     gram = np.zeros((m, m), dtype=np.int64)
     odd = F.p != 2
-    if isinstance(form, TraceQuadraticForm):
-        fld = form.field
-        basis = [fld.from_coeffs([1 if t == a else 0 for t in range(m)]) for a in range(m)]
-        add_ix = fld.add
-    else:
-        basis = [q ** a for a in range(m)]
-
-        def add_ix(x, y):
-            cx = [x // q ** t % q for t in range(m)]
-            cy = [y // q ** t % q for t in range(m)]
-            return _coords_to_index([F.add_el(a, b) for a, b in zip(cx, cy)], q)
-
+    basis = [F.q ** a for a in range(m)]
     for a in range(m):
         for b in range(a, m):
-            s = int(vals[add_ix(basis[a], basis[b])])
+            s = int(vals[digitwise(basis[a], basis[b], F.p)])
             s = F.add_el(s, F.neg_el(int(vals[basis[a]])))
             s = F.add_el(s, F.neg_el(int(vals[basis[b]])))
             if odd:
@@ -247,59 +220,46 @@ def polarize(form) -> GramMatrix:
             gram[b, a] = s
     kind = "symmetric" if odd else "alternating"
     if not odd and gram.diagonal().any():
-        raise AssertionError("even-q polarization must be alternating")
+        raise BchFormsError("even-q polarization must be alternating")  # internal bug
     return GramMatrix(entries=gram, kind=kind, field_q=F)
 
 
-def bilinear_rank(M: GramMatrix | np.ndarray, field_q: SmallField | None = None) -> int:
-    """Matrix rank over GF(q) by Gaussian elimination."""
-    if isinstance(M, GramMatrix):
-        field_q = M.field_q
-        A = [list(map(int, row)) for row in M.entries]
-    else:
-        A = [list(map(int, row)) for row in np.asarray(M)]
-    F = field_q
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    rank = 0
+def _row_reduce(M, F: SmallField) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination over GF(q) of a matrix of any shape: the
+    reduced row echelon rows and the pivot columns."""
+    A = [list(map(int, row)) for row in M]
+    cols = len(A[0]) if A else 0
+    pivots: list[int] = []
     for c in range(cols):
-        piv = next((r for r in range(rank, rows) if A[r][c] != 0), None)
+        top = len(pivots)
+        piv = next((r for r in range(top, len(A)) if A[r][c] != 0), None)
         if piv is None:
             continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = F.inv_el(A[rank][c])
-        A[rank] = [F.mul_el(inv, v) for v in A[rank]]
-        for r in range(rows):
-            if r != rank and A[r][c] != 0:
+        A[top], A[piv] = A[piv], A[top]
+        inv = F.inv_el(A[top][c])
+        A[top] = [F.mul_el(inv, v) for v in A[top]]
+        for r in range(len(A)):
+            if r != top and A[r][c] != 0:
                 f = F.neg_el(A[r][c])
-                A[r] = [F.add_el(A[r][t], F.mul_el(f, A[rank][t])) for t in range(cols)]
-        rank += 1
-    return rank
+                A[r] = [F.add_el(A[r][t], F.mul_el(f, A[top][t])) for t in range(cols)]
+        pivots.append(c)
+    return A, pivots
+
+
+def bilinear_rank(M: GramMatrix | np.ndarray, field_q: SmallField | None = None) -> int:
+    """Matrix rank over GF(q)."""
+    if isinstance(M, GramMatrix):
+        M, field_q = M.entries, M.field_q
+    return len(_row_reduce(np.asarray(M), field_q)[1])
 
 
 def radical_basis(M: GramMatrix) -> list[list[int]]:
     """Basis of Rad B = {v : Mv = 0} as GF(q) coordinate vectors."""
     F = M.field_q
     m = M.m
-    A = [list(map(int, row)) for row in M.entries]
-    pivots = []
-    rank = 0
-    for c in range(m):
-        piv = next((r for r in range(rank, m) if A[r][c] != 0), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = F.inv_el(A[rank][c])
-        A[rank] = [F.mul_el(inv, v) for v in A[rank]]
-        for r in range(m):
-            if r != rank and A[r][c] != 0:
-                f = F.neg_el(A[r][c])
-                A[r] = [F.add_el(A[r][t], F.mul_el(f, A[rank][t])) for t in range(m)]
-        pivots.append(c)
-        rank += 1
-    free = [c for c in range(m) if c not in pivots]
+    A, pivots = _row_reduce(M.entries, F)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(m) if c not in pivots):
         v = [0] * m
         v[fc] = 1
         for r, pc in enumerate(pivots):
@@ -373,22 +333,21 @@ def classify_quadratic(form) -> RankType:
         return classify_symmetric(B)
     rb = bilinear_rank(B)
     if rb % 2:
-        raise AssertionError("alternating form with odd rank")
-    rad = radical_basis(B)
-    vanishes = all(form.value_at_coords(v) == 0 for v in rad)
-    if not vanishes:
+        raise BchFormsError("alternating form with odd rank")  # internal bug
+    q, m = F.q, form.m
+    vals = form.values_by_index()
+    if any(vals[sum(c * q ** t for t, c in enumerate(v))] for v in radical_basis(B)):
         return RankType(rb + 1, 1)
     if rb == 0:
         return RankType(0, 0)
-    q, m = F.q, form.m
-    zeros = int(np.count_nonzero(form.values_by_index() == 0))
+    zeros = int(np.count_nonzero(vals == 0))
     r_half = rb // 2
     bump = (q - 1) * q ** (m - r_half - 1)
     if zeros == q ** (m - 1) + bump:
         return RankType(rb, 0)
     if zeros == q ** (m - 1) - bump:
         return RankType(rb, 2)
-    raise AssertionError(f"zero count {zeros} matches neither type for rank {rb}")
+    raise CountMismatch(f"zero count {zeros} matches neither type for rank {rb}")
 
 
 def count_solutions_closed(q: int, rt: RankType, h: int, m: int) -> int:
@@ -411,9 +370,7 @@ def count_solutions_closed(q: int, rt: RankType, h: int, m: int) -> int:
 
 def iter_family(field: FieldContext, i: int):
     """All members of Q1(i)/Q2(i), lambda tuples in lexicographic element order."""
-    slots = family_slots(field.m, i)
-    domains = [slot_domain(field, s) for s in slots]
-    for lams in product(*domains):
+    for lams in product(*family_domains(field, i)):
         yield TraceQuadraticForm(field, i, lams)
 
 

@@ -280,14 +280,19 @@ class SmallField:
         return f"SmallField(p={self.p}, e={self.e})"
 
 
-@lru_cache(maxsize=None)
-def small_field(q: int) -> SmallField:
-    """SmallField for a prime power q (cached)."""
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e; NotPrime when q is not a prime power."""
     fac = factorize(q)
     if len(fac) != 1:
         raise NotPrime(f"{q} is not a prime power")
     (p, e), = fac.items()
-    return SmallField(p, e)
+    return p, e
+
+
+@lru_cache(maxsize=None)
+def small_field(q: int) -> SmallField:
+    """SmallField for a prime power q (cached)."""
+    return SmallField(*prime_power(q))
 
 
 def quadratic_character(q: int, a: int) -> int:
@@ -315,6 +320,23 @@ def _digits(x, p: int, count: int) -> np.ndarray:
     out = np.empty(x.shape + (count,), dtype=np.int64)
     for k in range(count):
         x, out[..., k] = np.divmod(x, p)
+    return out
+
+
+def digitwise(x: int, y: int, p: int, sign: int = 1) -> int:
+    """x + sign*y, base-p digit by digit (XOR when p = 2).
+
+    This is addition in GF(q^m) on element indices, and equally in GF(q)^m
+    on the point indices sum_a c_a q^a, since the base-p digits of either
+    index are its full coordinate vector over GF(p).
+    """
+    x, y = int(x), int(y)
+    if p == 2:
+        return x ^ y
+    out, w = 0, 1
+    while x > 0 or y > 0:
+        out += (x + sign * y) % p * w
+        x, y, w = x // p, y // p, w * p
     return out
 
 
@@ -382,24 +404,13 @@ class FieldContext:
     # -- ring operations -------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
-        return self._digitwise(x, y, 1)
+        return digitwise(x, y, self.p)
 
     def neg(self, x: int) -> int:
-        return self._digitwise(0, x, -1)
+        return digitwise(0, x, self.p, -1)
 
     def sub(self, x: int, y: int) -> int:
-        return self._digitwise(x, y, -1)
-
-    def _digitwise(self, x: int, y: int, sign: int) -> int:
-        """x + sign*y, base-p digit by digit (XOR when p = 2)."""
-        x, y, p = int(x), int(y), self.base.p
-        if p == 2:
-            return x ^ y
-        out, w = 0, 1
-        while x > 0 or y > 0:
-            out += (x + sign * y) % p * w
-            x, y, w = x // p, y // p, w * p
-        return out
+        return digitwise(x, y, self.p, -1)
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
@@ -604,8 +615,4 @@ def build_field(p: int, e: int, m: int, ext_modulus: list[int] | None = None) ->
 @lru_cache(maxsize=None)
 def field_for(q: int, m: int) -> FieldContext:
     """Cached canonical FieldContext for GF(q^m), q a prime power."""
-    fac = factorize(q)
-    if len(fac) != 1:
-        raise NotPrime(f"{q} is not a prime power")
-    (p, e), = fac.items()
-    return build_field(p, e, m)
+    return build_field(*prime_power(q), m)

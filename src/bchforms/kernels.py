@@ -48,8 +48,7 @@ def eval_qvec(lam_logs, steps, trace_rows, pair, q, out):
     n = out.shape[0]
     t = np.arange(n, dtype=np.int64)
     out[:] = 0
-    for s in range(lam_logs.shape[0]):
-        l = lam_logs[s]
+    for s, l in enumerate(lam_logs):
         if l >= 0:
             out[:] = pair[out * q + trace_rows[s][(l + t * steps[s]) % n]]
 

@@ -17,15 +17,16 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice, product
 
 import numpy as np
 
 from . import kernels
 from .cyclotomic import CodeParams
 from .errors import BudgetExceeded, CountMismatch, OutOfRange
-from .forms import CoefficientForm, classify_quadratic, family_size, family_slots, iter_family, slot_domain
+from .forms import CoefficientForm, family_domains, family_size, family_slots, iter_family, polarize
 from .gfarith import FieldContext, field_for, small_field
-from .schemes import InnerDistribution
+from .schemes import FamilySpec, InnerDistribution, _tally
 from .weights import WeightEnumerator
 
 DEFAULT_MAX_CODEWORDS = 1 << 24
@@ -72,28 +73,9 @@ def default_workers() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
-def _member_logs(field: FieldContext, i: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-slot lambda domains as discrete logs (-1 for zero), plus the
-    exponent steps (q^j+1) mod n of each slot."""
-    slots = family_slots(field.m, i)
-    n = field.n
-    domains = []
-    for slot in slots:
-        dom = slot_domain(field, slot)
-        logs = np.array(
-            [-1 if v == 0 else int(field.log_index[v]) for v in dom], dtype=np.int64
-        )
-        domains.append(logs)
-    steps = np.array([(field.q ** s.j + 1) % n for s in slots], dtype=np.int64)
-    return domains, steps
-
-
-def _trace_rows(field: FieldContext, i: int) -> np.ndarray:
-    slots = family_slots(field.m, i)
-    rows = np.empty((len(slots), field.n), dtype=np.int64)
-    for s, slot in enumerate(slots):
-        rows[s] = field.half_trace_vec if slot.half else field.trace_vec
-    return rows
+def _member_logs(field: FieldContext, i: int) -> list[list[int]]:
+    """Per-slot lambda domains as discrete logs; log_index[0] = -1 marks zero."""
+    return [field.log_index[d].tolist() for d in family_domains(field, i)]
 
 
 def trace_route_weights(params: CodeParams, budget: EnumerationBudget | None = None,
@@ -107,25 +89,21 @@ def trace_route_weights(params: CodeParams, budget: EnumerationBudget | None = N
     field = field_for(q, m)
     n = field.n
     F = field.base
-    domains, steps = _member_logs(field, params.i)
-    trace_rows = _trace_rows(field, params.i)
+    slots = family_slots(m, params.i)
+    log_domains = _member_logs(field, params.i)
+    steps = np.array([(q ** s.j + 1) % n for s in slots], dtype=np.int64)
+    trace_rows = np.stack([field.half_trace_vec if s.half else field.trace_vec for s in slots])
     trv2 = np.concatenate([field.trace_vec, field.trace_vec])
     pair = F.add.astype(np.int64).ravel()
     neg = F.neg.astype(np.int64)
-    radices = [len(d) for d in domains]
-    n_members = math.prod(radices)
+    n_members = math.prod(len(d) for d in log_domains)
     if n_members != family_size(q, m, params.i):
         raise CountMismatch(f"{n_members} family members, expected {family_size(q, m, params.i)}")
 
     def scan(lo: int, hi: int) -> np.ndarray:
         counts = np.zeros(n + 1, dtype=np.int64)
-        lam_logs = np.empty(len(radices), dtype=np.int64)
         qv = np.empty(n, dtype=np.int64)
-        for member in range(lo, hi):
-            rem = member
-            for s in range(len(radices) - 1, -1, -1):
-                lam_logs[s] = domains[s][rem % radices[s]]
-                rem //= radices[s]
+        for lam_logs in islice(product(*log_domains), lo, hi):
             kernels.eval_qvec(lam_logs, steps, trace_rows, pair, q, qv)
             kernels.coset_weight_counts(qv, trv2, pair, neg, counts)
         return counts
@@ -217,9 +195,6 @@ def rank_type_census(spec_or_q, m: int | None = None, i: int | None = None,
     a different code path from schemes.census_inner_distribution (bilinear
     parametrization), so the two never validate themselves.
     """
-    from .forms import bilinear_rank, classify_symmetric, polarize
-    from .schemes import FamilySpec
-
     if isinstance(spec_or_q, FamilySpec):
         spec = spec_or_q
     else:
@@ -228,25 +203,12 @@ def rank_type_census(spec_or_q, m: int | None = None, i: int | None = None,
     q, m, i = spec.q, spec.m, spec.i
     budget = budget or EnumerationBudget.from_env()
     budget.check_field(q ** m)
-    size = family_size(q, m, i)
-    if size > budget.max_codewords:
-        raise BudgetExceeded(f"family size {size} over budget")
-    field = field_for(q, m)
-    entries: dict = {}
-    for form in iter_family(field, i):
-        if spec.kind.startswith("Q"):
-            rt = classify_quadratic(form)
-            key = (rt.rank, rt.type)
-        elif spec.kind.startswith("S"):
-            rt = classify_symmetric(polarize(form))
-            key = (rt.rank, rt.type)
-        else:
-            key = bilinear_rank(polarize(form))
-        entries[key] = entries.get(key, 0) + 1
-    dist = InnerDistribution(entries=entries, scheme_kind=spec.scheme_kind, m=m)
-    if dist.total() != size:
-        raise CountMismatch(f"census counted {dist.total()} members, expected {size}")
-    return dist
+    if spec.size > budget.max_codewords:
+        raise BudgetExceeded(f"family of {spec.size} members exceeds the budget of {budget.max_codewords}")
+    members = iter_family(field_for(q, m), i)
+    if not spec.kind.startswith("Q"):
+        members = (polarize(form) for form in members)
+    return _tally(spec, members)
 
 
 def coset_weight_distribution(field: FieldContext, form) -> dict[int, int]:

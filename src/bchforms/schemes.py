@@ -15,21 +15,29 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import BudgetExceeded, NegativeEntry, NonIntegralResult, OutOfRange, ParityMismatch
+from .errors import (
+    BudgetExceeded,
+    CountMismatch,
+    NegativeEntry,
+    NonIntegralResult,
+    OutOfRange,
+    ParityMismatch,
+)
 from .forms import (
     GramMatrix,
-    TraceQuadraticForm,
     bilinear_rank,
     classify_quadratic,
     classify_symmetric,
+    family_domains,
     family_size,
     family_slots,
     iter_family,
-    slot_domain,
 )
-from .gfarith import FieldContext, eta_minus_one, field_for, small_field
+from .gfarith import FieldContext, eta_minus_one, field_for, prime_power, small_field
 
 FAMILY_KINDS = ("Q1", "Q2", "S1", "S2", "A1", "A2")
+# family scans classify members one at a time, so larger families are refused
+MAX_FAMILY_MEMBERS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -41,7 +49,10 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {self.kind}")
+            raise OutOfRange(f"unknown family kind {self.kind}")
+        prime_power(self.q)
+        if self.m < 1 or self.m * (2 * self.i - self.m + 3) < 0:
+            raise OutOfRange(f"no family {self.kind}({self.i}) for m={self.m}")
         want_odd = self.kind.endswith("1")
         if want_odd != (self.m % 2 == 1):
             raise ParityMismatch(f"{self.kind} needs m {'odd' if want_odd else 'even'}")
@@ -95,23 +106,19 @@ class InnerDistribution:
         return out
 
 
-def _bilinear_gram(field: FieldContext, i: int, lambdas: tuple[int, ...], halve: bool) -> GramMatrix:
+def _bilinear_gram(field: FieldContext, i: int, lambdas: tuple[int, ...]) -> GramMatrix:
     """Gram matrix of Tr((sum_j lam_j x^(q^j) + lam_j^(q^-j) x^(q^-j)) y)
-    on the polynomial basis (the S/A family parametrization).  With halve
-    set the lambdas are divided by two first, which realizes B_Q exactly."""
+    on the polynomial basis (the S/A family parametrization).  For odd q,
+    the lambdas halved give B_Q of the quadratic member with those lambdas."""
     m = field.m
     F = field.base
     slots = family_slots(m, i)
     basis = [field.from_coeffs([1 if t == a else 0 for t in range(m)]) for a in range(m)]
-    lams = list(lambdas)
-    if halve:
-        inv2 = F.inv_el(F.add_el(1, 1))
-        lams = [field.mul(inv2, lam) for lam in lams]
     # L(x) = sum over slots of the x-side coefficient
     images = []
     for x in basis:
         acc = 0
-        for slot, lam in zip(slots, lams):
+        for slot, lam in zip(slots, lambdas):
             if lam == 0:
                 continue
             if slot.half:
@@ -139,32 +146,31 @@ def enumerate_family(spec: FamilySpec, field: FieldContext | None = None):
     if spec.kind.startswith("Q"):
         yield from iter_family(fld, spec.i)
         return
-    slots = family_slots(spec.m, spec.i)
-    domains = [slot_domain(fld, s) for s in slots]
-    for lams in product(*domains):
-        yield _bilinear_gram(fld, spec.i, lams, halve=False)
+    for lams in product(*family_domains(fld, spec.i)):
+        yield _bilinear_gram(fld, spec.i, lams)
 
 
-def census_inner_distribution(spec: FamilySpec, max_members: int = 1 << 20) -> InnerDistribution:
-    """Exact inner distribution by classifying every member."""
-    if spec.size > max_members:
-        raise BudgetExceeded(f"family of size {spec.size} exceeds census budget {max_members}")
+def _tally(spec: FamilySpec, members) -> InnerDistribution:
+    """Inner distribution of the members of spec: Q forms are keyed by
+    classify_quadratic, S Grams by classify_symmetric (both (rank, type)),
+    A Grams by bilinear_rank.  Every member of the family must be seen."""
+    classify = {"Q": classify_quadratic, "S": classify_symmetric, "A": bilinear_rank}[spec.kind[0]]
     entries: dict = {}
-    total = 0
-    for member in enumerate_family(spec):
-        total += 1
-        if spec.kind.startswith("Q"):
-            rt = classify_quadratic(member)
-            key = (rt.rank, rt.type)
-        elif spec.kind.startswith("S"):
-            rt = classify_symmetric(member)
-            key = (rt.rank, rt.type)
-        else:
-            key = bilinear_rank(member)
+    for member in members:
+        rt = classify(member)
+        key = rt if isinstance(rt, int) else (rt.rank, rt.type)
         entries[key] = entries.get(key, 0) + 1
-    if total != spec.size:
-        raise AssertionError(f"enumerated {total} members, expected {spec.size}")
-    return InnerDistribution(entries=entries, scheme_kind=spec.scheme_kind, m=spec.m)
+    dist = InnerDistribution(entries=entries, scheme_kind=spec.scheme_kind, m=spec.m)
+    if dist.total() != spec.size:
+        raise CountMismatch(f"census counted {dist.total()} members, expected {spec.size}")
+    return dist
+
+
+def census_inner_distribution(spec: FamilySpec) -> InnerDistribution:
+    """Exact inner distribution by classifying every member."""
+    if spec.size > MAX_FAMILY_MEMBERS:
+        raise BudgetExceeded(f"census of {spec.size} members exceeds the limit of {MAX_FAMILY_MEMBERS}")
+    return _tally(spec, enumerate_family(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +289,7 @@ def schmidt_for_family(spec: FamilySpec) -> InnerDistribution:
     """Closed-form inner distribution of S1(i)/S2(i) via the code/design
     parameters established for these families (odd q)."""
     if spec.kind not in ("S1", "S2", "Q1", "Q2"):
-        raise ValueError("closed forms exist for the symmetric-side families")
+        raise OutOfRange("closed forms exist for the symmetric-side families")
     q, m, i = spec.q, spec.m, spec.i
     if m % 2:
         return schmidt_inner_distribution("odd", (m - 1) // 2, m - i, spec.size, q)
@@ -297,8 +303,9 @@ def schmidt_for_family(spec: FamilySpec) -> InnerDistribution:
 
 def dg_bound(n: int, d: int, q: int) -> int:
     """Delsarte-Goethals size bound for 2d-codes of alternating forms on GF(q)^n."""
-    if not 0 <= d <= n // 2:
-        raise OutOfRange("need 0 <= d <= floor(n/2)")
+    prime_power(q)
+    if n < 1 or not 0 <= d <= n // 2:
+        raise OutOfRange("need n >= 1 and 0 <= d <= floor(n/2)")
     if n % 2:
         return q ** (n * (n + 1) // 2 - n * d)
     return q ** ((n - 1) * (n + 2) // 2 - (n - 1) * d)

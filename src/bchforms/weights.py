@@ -21,10 +21,20 @@ import numpy as np
 
 from . import kernels
 from .cyclotomic import CodeParams
-from .errors import BudgetExceeded, EvenCharacteristic, OutOfRange, RankZero, WitnessNotFound
+from .errors import (
+    BchFormsError,
+    BudgetExceeded,
+    CountMismatch,
+    EvenCharacteristic,
+    NegativeEntry,
+    NonIntegralResult,
+    OutOfRange,
+    RankZero,
+    WitnessNotFound,
+)
 from .forms import RankType, TraceQuadraticForm, all_rank_types, classify_quadratic, family_size, iter_family
 from .gfarith import FieldContext, eta_minus_one, field_for, small_field
-from .schemes import FamilySpec, schmidt_for_family
+from .schemes import MAX_FAMILY_MEMBERS, FamilySpec, schmidt_for_family
 
 
 @dataclass
@@ -60,10 +70,16 @@ def _enumerator(length: int, pairs) -> WeightEnumerator:
     counts: dict[int, int] = {}
     for w, c in pairs:
         if c < 0:
-            raise AssertionError(f"negative frequency {c} at weight {w}")
+            raise NegativeEntry(f"negative frequency {c} at weight {w}")
         if c:
             counts[w] = counts.get(w, 0) + c
     return WeightEnumerator(counts=counts, length=length)
+
+
+def _checked_total(enum: WeightEnumerator, total: int) -> WeightEnumerator:
+    if enum.total() != total:
+        raise CountMismatch(f"closed-form enumerator counts {enum.total()} words, expected {total}")
+    return enum
 
 
 def prm_enumerator(q: int, m: int) -> WeightEnumerator:
@@ -79,8 +95,7 @@ def prm_enumerator(q: int, m: int) -> WeightEnumerator:
             (n, q - 1),
         ],
     )
-    assert enum.total() == q ** (m + 1)
-    return enum
+    return _checked_total(enum, q ** (m + 1))
 
 
 def coset_enumerator_odd(q: int, m: int, rt: RankType) -> WeightEnumerator:
@@ -118,8 +133,7 @@ def coset_enumerator_odd(q: int, m: int, rt: RankType) -> WeightEnumerator:
             (A + sg * sw, (q - 1) * (q ** (r - 1) - sg * sf)),
         ]
     enum = _enumerator(n, pairs)
-    assert enum.total() == q ** (m + 1)
-    return enum
+    return _checked_total(enum, q ** (m + 1))
 
 
 def coset_enumerator_even(q: int, m: int, rt: RankType) -> WeightEnumerator:
@@ -166,8 +180,7 @@ def coset_enumerator_even(q: int, m: int, rt: RankType) -> WeightEnumerator:
     else:
         raise ValueError(f"even-q type must be 0, 1 or 2, got {rt.type}")
     enum = _enumerator(n, pairs)
-    assert enum.total() == q ** (m + 1)
-    return enum
+    return _checked_total(enum, q ** (m + 1))
 
 
 def code_enumerator_odd(params: CodeParams) -> WeightEnumerator:
@@ -182,9 +195,9 @@ def code_enumerator_odd(params: CodeParams) -> WeightEnumerator:
         if rank == 0:
             continue
         enum.add_scaled(coset_enumerator_odd(q, m, RankType(rank, tau)), count)
-    assert enum.total() == q ** params.dimension
+    _checked_total(enum, q ** params.dimension)
     if enum.min_positive_weight() != params.delta_i:
-        raise AssertionError(
+        raise CountMismatch(
             f"closed-form minimum weight {enum.min_positive_weight()} != delta_i {params.delta_i}"
         )
     return enum
@@ -201,7 +214,7 @@ def coset_words_weight_table(field: FieldContext, form: TraceQuadraticForm) -> n
     return kernels.coset_weight_table(qv, trv2, pair, neg)
 
 
-def min_distance_even(params: CodeParams, max_members: int = 1 << 20):
+def min_distance_even(params: CodeParams):
     """Minimum distance delta_i for even q with an explicit witness.
 
     Scans the family in lambda-lexicographic order for a member of rank
@@ -212,8 +225,10 @@ def min_distance_even(params: CodeParams, max_members: int = 1 << 20):
     q, m, i = params.q, params.m, params.i
     if q % 2:
         raise EvenCharacteristic("min_distance_even needs even q")
-    if family_size(q, m, i) > max_members:
-        raise BudgetExceeded(f"family size {family_size(q, m, i)} over budget")
+    if family_size(q, m, i) > MAX_FAMILY_MEMBERS:
+        raise BudgetExceeded(
+            f"scan of {family_size(q, m, i)} family members exceeds the limit of {MAX_FAMILY_MEMBERS}"
+        )
     field = field_for(q, m)
     target_rank1 = 2 * m - 2 * i - 1
     target_rank2 = 2 * m - 2 * i - 2
@@ -222,7 +237,7 @@ def min_distance_even(params: CodeParams, max_members: int = 1 << 20):
     for form in iter_family(field, i):
         rt = classify_quadratic(form)
         if rt == RankType(target_rank2, 0):
-            raise AssertionError(
+            raise BchFormsError(
                 f"family member {form.lambdas} has forbidden rank {target_rank2} type 0"
             )
         if witness_form is None and (rt == RankType(target_rank1, 1) or rt == RankType(target_rank2, 2)):
@@ -248,7 +263,7 @@ def min_distance_even(params: CodeParams, max_members: int = 1 << 20):
     word = F.add[F.add[qv, lin], eps]
     witness_word = int(np.count_nonzero(word))
     if witness_word != params.delta_i:
-        raise AssertionError("witness recount disagrees")  # internal bug
+        raise CountMismatch("witness recount disagrees")  # internal bug
     witness = {
         "lambdas": list(witness_form.lambdas),
         "rank": witness_rt.rank,
@@ -286,7 +301,7 @@ def appendix_frequency_tables(q: int, m: int, rt: RankType, c_class: str) -> dic
 
     def put(value, freq):
         if freq < 0:
-            raise AssertionError(f"negative frequency {freq}")
+            raise NegativeEntry(f"negative frequency {freq}")
         if freq:
             out[value] = out.get(value, 0) + freq
 
@@ -383,7 +398,7 @@ def intersection_table(q: int, b: int) -> tuple[int, ...]:
 
     def frac(num):
         if num % 4:
-            raise AssertionError(f"non-integral table entry {num}/4 at q={q}, b={b}")
+            raise NonIntegralResult(f"non-integral table entry {num}/4 at q={q}, b={b}")
         return num // 4
 
     if b == 0:

@@ -1,6 +1,12 @@
+import ast
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bchforms import cli
 from bchforms.bchcode import generator_polynomial
@@ -143,9 +149,84 @@ def test_verify_small_budget(capsys):
     ("appendix-table", "-q", "4", "-m", "4", "--rank", "2", "--type", "1", "--c-class", "zero"),
     ("appendix-table", "-q", "5", "-m", "4", "--rank", "0", "--type", "5", "--c-class", "zero"),
     ("appendix-table", "-q", "5", "-m", "4", "--rank", "2", "--type", "1", "--c-class", "nonzero"),
+    ("classify-form", "-q", "3", "-m", "3", "-i", "1", "--lambdas", "abc"),
+    ("dg-bound", "-n", "0", "-d", "0", "-q", "0"),
+    ("coset-leaders", "-q", "6", "-m", "3", "--threshold", "5"),
+    ("coset-leaders", "-q", "0", "-m", "-1", "--threshold", "5"),
+    ("inner-dist", "--family", "A1", "-q", "2", "-m", "5", "-i", "2", "--method", "closed"),
+    ("inner-dist", "--family", "S1", "-q", "0", "-m", "-1", "-i", "-1", "--method", "closed"),
 ])
 def test_bad_input_is_one_json_error(capsys, argv):
     code, doc = run_cli(capsys, *argv)
     assert code == 1
     assert set(doc) == {"command", "error", "message"}
     assert doc["error"] in ("OutOfRange", "NotPrime")
+
+
+def test_classify_form_field_budget(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "field_for", lambda q, m: built.append((q, m)))
+    monkeypatch.setenv("BCHFORMS_BUDGET", "small")
+    code, doc = run_cli(capsys, "classify-form", "-q", "2", "-m", "13", "-i", "6", "--lambdas", "1")
+    assert code == 1
+    assert doc["error"] == "BudgetExceeded"
+    assert built == []
+
+
+def test_package_has_no_assert():
+    # result guards must raise a typed error that survives python -O
+    src = Path(cli.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            assert not isinstance(node, ast.Assert), where
+            assert not (isinstance(node, ast.Name) and node.id == "AssertionError"), where
+
+
+Q = st.integers(-1, 10)
+M = st.integers(-1, 6)
+I = st.integers(-1, 6)
+
+
+@st.composite
+def cli_argv(draw):
+    """argv of one subcommand with int values in small ranges, bad ones included."""
+    cmd = draw(st.sampled_from(
+        ["params", "coset-leaders", "genpoly", "classify-form", "dg-bound", "appendix-table", "inner-dist"]))
+    qm = ["-q", str(draw(Q)), "-m", str(draw(M))]
+    if cmd == "params":
+        return [cmd, *qm, "-i", str(draw(I))]
+    if cmd == "coset-leaders":
+        return [cmd, *qm, "--threshold", str(draw(st.integers(-1, 5000)))]
+    if cmd == "genpoly":
+        return [cmd, *qm, "--delta", str(draw(st.integers(-1, 40)))]
+    if cmd == "classify-form":
+        lambdas = draw(st.lists(st.integers(-2, 5000), min_size=1, max_size=4))
+        # joined with "=": argparse reads a separate "-1,5" as an option name
+        return [cmd, *qm, "-i", str(draw(I)), "--lambdas=" + ",".join(map(str, lambdas))]
+    if cmd == "dg-bound":
+        n, d = draw(st.integers(-1, 8)), draw(st.integers(-1, 5))
+        return [cmd, "-n", str(n), "-d", str(d), "-q", str(draw(Q))]
+    if cmd == "appendix-table":
+        c_class = draw(st.sampled_from(["zero", "square", "nonsquare", "nonzero", "nonzero-sum", "bogus"]))
+        return [cmd, *qm, "--rank", str(draw(st.integers(-1, 7))), "--type", str(draw(st.integers(-2, 3))),
+                "--c-class", c_class, "--no-oracle"]
+    # the census of a family is not under the enumeration budget, so only
+    # the closed form is drawn here
+    family = draw(st.sampled_from(["Q1", "Q2", "S1", "S2", "A1", "A2"]))
+    return [cmd, "--family", family, *qm, "-i", str(draw(I)), "--method", "closed"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cli_argv())
+def test_cli_contract(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1, lines
+    doc = json.loads(lines[0])
+    assert isinstance(doc, dict)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert set(doc) == {"command", "error", "message"}

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from bchforms import forms
+from bchforms import forms, oracle, schemes
 from bchforms.errors import ArityMismatch, EvenCharacteristic, InvalidSubfield, RankZero
 from bchforms.forms import (
     CoefficientForm,
@@ -17,6 +19,7 @@ from bchforms.forms import (
     polarize,
 )
 from bchforms.gfarith import field_for, small_field
+from bchforms.verify import FORM_FAMILIES
 
 
 # families small enough to sweep in unit tests
@@ -168,7 +171,7 @@ def _rank_by_definition(form):
         if F.p != 2:
             # odd q: Rad Q = Rad B automatically
             count += 1
-        elif form.value_at_coords(v) == 0:
+        elif form.values_by_index()[sum(c * q ** t for t, c in enumerate(v))] == 0:
             count += 1
     dim = 0
     while q ** dim < count:
@@ -239,3 +242,73 @@ def test_classification_basis_invariance():
                 for b in range(a + 1, m):
                     U[a, b] = F.add_el(int(M[a, b]), int(M[b, a]))
             assert classify_quadratic(CoefficientForm(F, U)) == rt
+
+
+def _matvec(F, B, v):
+    out = []
+    for row in B:
+        acc = 0
+        for b, x in zip(row, v):
+            acc = F.add_el(acc, F.mul_el(int(b), int(x)))
+        out.append(acc)
+    return out
+
+
+def _span_size(F, vectors):
+    """|{sum c_k v_k}| by enumerating every coefficient tuple."""
+    seen = set()
+    for coeffs in itertools.product(range(F.q), repeat=len(vectors)):
+        acc = [0] * (len(vectors[0]) if vectors else 0)
+        for c, vec in zip(coeffs, vectors):
+            acc = [F.add_el(a, F.mul_el(c, int(x))) for a, x in zip(acc, vec)]
+        seen.add(tuple(acc))
+    return len(seen)
+
+
+def _check_rank_and_radical(F, B):
+    m = B.shape[0]
+    rank = bilinear_rank(B, F)
+    rad = forms.radical_basis(forms.GramMatrix(B, "coefficient", F))
+    assert rank + len(rad) == m
+    for v in rad:
+        assert _matvec(F, B, v) == [0] * m
+    # independent: the q^k combinations are pairwise distinct
+    assert _span_size(F, rad) == F.q ** len(rad)
+
+
+def test_row_reduction_rank_plus_radical():
+    for q, m, i in FORM_FAMILIES:
+        F = small_field(q)
+        for form in iter_family(field_for(q, m), i):
+            _check_rank_and_radical(F, polarize(form).entries)
+    rng = np.random.default_rng(20261018)
+    for q in (2, 3, 4, 5):
+        F = small_field(q)
+        mul, add = F.mul.astype(np.int64), F.add.astype(np.int64)
+        for _ in range(40):
+            rows, cols, inner = (int(v) for v in rng.integers(1, 5, size=3))
+            L = rng.integers(0, q, size=(rows, inner))
+            R = rng.integers(0, q, size=(inner, cols))
+            B = np.zeros((rows, cols), dtype=np.int64)
+            for k in range(inner):  # rank <= inner, so radicals occur
+                B = add[B, mul[L[:, k][:, None], R[k][None, :]]]
+            # rank from its definition: the row space has q^rank elements
+            assert q ** bilinear_rank(B, F) == _span_size(F, list(B))
+            assert bilinear_rank(B, F) == bilinear_rank(B.T, F)
+            if rows == cols:
+                _check_rank_and_radical(F, B)
+
+
+@pytest.mark.parametrize("q,m,i", [(2, 6, 3), (3, 4, 2), (4, 3, 1)])
+def test_family_enumerators_agree(q, m, i):
+    fld = field_for(q, m)
+    lams = [form.lambdas for form in iter_family(fld, i)]
+    assert len(lams) == family_size(q, m, i)
+    logs = [tuple(0 if l < 0 else int(fld.exp_index[l]) for l in t)
+            for t in itertools.product(*oracle._member_logs(fld, i))]
+    assert logs == lams
+    kind = ("S" if q % 2 else "A") + ("1" if m % 2 else "2")
+    grams = [g.entries for g in schemes.enumerate_family(schemes.FamilySpec(kind, q, m, i), fld)]
+    assert len(grams) == len(lams)
+    for g, t in zip(grams, lams):
+        assert np.array_equal(g, schemes._bilinear_gram(fld, i, t).entries)
