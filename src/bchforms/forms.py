@@ -29,7 +29,7 @@ from .errors import (
     OutOfRange,
     RankZero,
 )
-from .gfarith import FieldContext, SmallField, digitwise, small_field
+from .gfarith import FieldContext, SmallField, digits, digitwise, eta_minus_one, small_field
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,14 @@ class RankType:
     def __post_init__(self):
         if self.rank == 0 and self.type not in (0, 1):
             raise OutOfRange("rank 0 must carry the conventional type")
+
+
+def type_sign(q: int, rt: RankType) -> int:
+    """The sign eps carried by every closed count for Q of this rank and type:
+    tau * eta(-1)^floor(r/2) for odd q; +1 for even q and type 0 or 1, -1 for type 2."""
+    if q % 2:
+        return rt.type * eta_minus_one(q) ** (rt.rank // 2)
+    return -1 if rt.type == 2 else 1
 
 
 @dataclass
@@ -157,7 +165,7 @@ class CoefficientForm:
     def __init__(self, field_q: SmallField, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=np.int64)
         if coeffs.ndim != 2 or coeffs.shape[0] != coeffs.shape[1]:
-            raise ValueError("coefficient matrix must be square")
+            raise OutOfRange("coefficient matrix must be square")
         self.field_q = field_q
         self.coeffs = coeffs
         self.m = coeffs.shape[0]
@@ -174,13 +182,8 @@ class CoefficientForm:
         """Values over all q^m points, index encoding sum(c_i q^i)."""
         if self._values is None:
             F, m, q = self.field_q, self.m, self.q
-            size = q ** m
-            digs = np.zeros((size, m), dtype=np.int64)
-            v = np.arange(size)
-            for a in range(m):
-                digs[:, a] = v % q
-                v //= q
-            acc = np.zeros(size, dtype=np.int64)
+            digs = digits(np.arange(q ** m), q, m)
+            acc = np.zeros(q ** m, dtype=np.int64)
             mul = F.mul.astype(np.int64)
             add = F.add.astype(np.int64)
             for a in range(m):
@@ -356,16 +359,12 @@ def count_solutions_closed(q: int, rt: RankType, h: int, m: int) -> int:
         raise RankZero("solution counts need rank >= 1")
     F = small_field(q)
     r = rt.rank
-    if F.p != 2:
-        eta = F.quadratic_character
-        em1 = eta(F.neg_el(1))
-        if r % 2:
-            return q ** (m - 1) + rt.type * em1 ** ((r - 1) // 2) * eta(h) * q ** (m - (r + 1) // 2)
-        return q ** (m - 1) + rt.type * em1 ** (r // 2) * F.upsilon(h) * q ** (m - (r + 2) // 2)
-    if r % 2:
+    eps = type_sign(q, rt)
+    if r % 2 == 0:
+        return q ** (m - 1) + eps * F.upsilon(h) * q ** (m - (r + 2) // 2)
+    if F.p == 2:
         return q ** (m - 1)
-    sign = 1 if rt.type == 0 else -1
-    return q ** (m - 1) + sign * F.upsilon(h) * q ** (m - (r + 2) // 2)
+    return q ** (m - 1) + eps * F.quadratic_character(h) * q ** (m - (r + 1) // 2)
 
 
 def iter_family(field: FieldContext, i: int):
@@ -396,7 +395,7 @@ def canonical_form(q: int, m: int, rt: RankType) -> CoefficientForm:
     C = np.zeros((m, m), dtype=np.int64)
     r = rt.rank
     if r > m:
-        raise ValueError("rank exceeds dimension")
+        raise OutOfRange("rank exceeds dimension")
     if F.p != 2:
         if r:
             for a in range(r - 1):

@@ -49,6 +49,15 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def digits(x, base: int, count: int) -> np.ndarray:
+    """Digits of the integers x in the given base, lowest first: shape x.shape + (count,)."""
+    x = np.asarray(x, dtype=np.int64)
+    out = np.empty(x.shape + (count,), dtype=np.int64)
+    for k in range(count):
+        x, out[..., k] = np.divmod(x, base)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Polynomials over a small field.
 #
@@ -204,11 +213,7 @@ class SmallField:
             self.modulus = smallest_irreducible(Fp, e)
 
         q, pp = self.q, self.p
-        digs = np.zeros((q, e), dtype=np.int64)
-        v = np.arange(q)
-        for i in range(e):
-            digs[:, i] = v % pp
-            v //= pp
+        digs = digits(np.arange(q), pp, e)
         ppow = pp ** np.arange(e)
         self.add = ((digs[:, None, :] + digs[None, :, :]) % pp @ ppow).astype(np.uint8)
         self.neg = (((-digs) % pp) @ ppow).astype(np.uint8)
@@ -314,15 +319,6 @@ def eta_minus_one(q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _digits(x, p: int, count: int) -> np.ndarray:
-    """Base-p digits of the integers x, lowest first: shape x.shape + (count,)."""
-    x = np.asarray(x, dtype=np.int64)
-    out = np.empty(x.shape + (count,), dtype=np.int64)
-    for k in range(count):
-        x, out[..., k] = np.divmod(x, p)
-    return out
-
-
 def digitwise(x: int, y: int, p: int, sign: int = 1) -> int:
     """x + sign*y, base-p digit by digit (XOR when p = 2).
 
@@ -349,7 +345,7 @@ def _gfp_apply(L: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
         for r, mask in enumerate(L @ (1 << np.arange(L.shape[1], dtype=np.int64))):
             out |= (np.bitwise_count(x & mask) & 1).astype(np.int64) << r
         return out
-    return (_digits(x, p, L.shape[1]) @ L.T % p) @ p ** np.arange(L.shape[0], dtype=np.int64)
+    return (digits(x, p, L.shape[1]) @ L.T % p) @ p ** np.arange(L.shape[0], dtype=np.int64)
 
 
 @dataclass
@@ -392,11 +388,7 @@ class FieldContext:
 
     def coeff_vector(self, x: int) -> list[int]:
         """Coordinates of x over GF(q) in the polynomial basis."""
-        out = []
-        for _ in range(self.m):
-            out.append(x % self.q)
-            x //= self.q
-        return out
+        return digits(x, self.q, self.m).tolist()
 
     def from_coeffs(self, coeffs) -> int:
         return sum(int(c) * self.q ** i for i, c in enumerate(coeffs))
@@ -463,7 +455,7 @@ class FieldContext:
     def _frob_sum_matrix(self, terms: int) -> np.ndarray:
         """GF(p)-matrix of x -> sum_{j<terms} x^(q^j); column k is the image of p^k."""
         count = self.e * self.m
-        return _digits([self._frob_sum(self.p ** k, terms) for k in range(count)], self.p, count).T
+        return digits([self._frob_sum(self.p ** k, terms) for k in range(count)], self.p, count).T
 
     def trace_to(self, x: int, subfield_degree: int = 1) -> int:
         """Relative trace from GF(q^m) down to GF(q^subfield_degree).
@@ -593,7 +585,7 @@ def build_field(p: int, e: int, m: int, ext_modulus: list[int] | None = None) ->
     # exp table by block doubling: exp[B:2B] = alpha^B * exp[:B], where
     # "multiply by alpha^B" is the GF(p)-matrix A^B on base-p digit vectors
     count = base.e * m
-    A = _digits([el_mul(alpha, p ** k) for k in range(count)], p, count).T
+    A = digits([el_mul(alpha, p ** k) for k in range(count)], p, count).T
     exp_index = np.empty(n, dtype=np.int64)
     exp_index[0] = 1
     AB, B = A, 1

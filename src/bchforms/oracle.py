@@ -25,7 +25,7 @@ from . import kernels
 from .cyclotomic import CodeParams
 from .errors import BudgetExceeded, CountMismatch, OutOfRange
 from .forms import CoefficientForm, family_domains, family_size, family_slots, iter_family, polarize
-from .gfarith import FieldContext, field_for, small_field
+from .gfarith import FieldContext, digits, field_for, small_field
 from .schemes import FamilySpec, InnerDistribution, _tally
 from .weights import WeightEnumerator
 
@@ -63,6 +63,10 @@ class EnumerationBudget:
     def check_codewords(self, count: int) -> None:
         if count > self.max_codewords:
             raise BudgetExceeded(f"{count} codewords exceed budget {self.max_codewords}")
+
+    def check_members(self, count: int) -> None:
+        if count > self.max_codewords:
+            raise BudgetExceeded(f"family of {count} members exceeds the budget of {self.max_codewords}")
 
     def check_field(self, size: int) -> None:
         if size > self.max_field_size:
@@ -203,8 +207,7 @@ def rank_type_census(spec_or_q, m: int | None = None, i: int | None = None,
     q, m, i = spec.q, spec.m, spec.i
     budget = budget or EnumerationBudget.from_env()
     budget.check_field(q ** m)
-    if spec.size > budget.max_codewords:
-        raise BudgetExceeded(f"family of {spec.size} members exceeds the budget of {budget.max_codewords}")
+    budget.check_members(spec.size)
     members = iter_family(field_for(q, m), i)
     if not spec.kind.startswith("Q"):
         members = (polarize(form) for form in members)
@@ -232,11 +235,7 @@ def appendix_census(q: int, m: int, coeff_form: CoefficientForm, c_class: str,
     budget.check_field(q ** m)
     F = small_field(q)
     size = q ** m
-    digs = np.zeros((size, m), dtype=np.int64)
-    v = np.arange(size)
-    for a in range(m):
-        digs[:, a] = v % q
-        v //= q
+    digs = digits(np.arange(size), q, m)
     qv = coeff_form.values_by_index()
     add = F.add.astype(np.int64)
     mul = F.mul.astype(np.int64)
@@ -257,7 +256,7 @@ def appendix_census(q: int, m: int, coeff_form: CoefficientForm, c_class: str,
     elif c_class == "nonzero-sum":
         cs = list(range(1, q))
     else:
-        raise ValueError(f"unknown c class {c_class}")
+        raise OutOfRange(f"unknown c class {c_class}")
     out: dict[int, int] = {}
     for c in cs:
         target = int(F.neg[c])

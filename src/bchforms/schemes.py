@@ -209,7 +209,7 @@ def schmidt_inner_distribution(case: str, n: int, l: int, size: int, q: int) -> 
     is the guard against misapplied hypotheses or transcription slips.
     """
     if case not in ("odd", "even", "odd2"):
-        raise ValueError(f"unknown case {case}")
+        raise OutOfRange(f"unknown case {case}")
     em1 = eta_minus_one(q)
     m = 2 * n + 1 if case in ("odd", "odd2") else 2 * n
     Y = Fraction(size)

@@ -10,7 +10,7 @@ from . import cyclotomic as cyc
 from . import oracle as orc
 from . import weights as wts
 from .bchcode import generator_polynomial
-from .errors import BchFormsError
+from .errors import BchFormsError, OutOfRange
 from .forms import all_rank_types, canonical_form, classify_quadratic, iter_family
 from .gfarith import field_for
 from .oracle import EnumerationBudget
@@ -222,5 +222,5 @@ def run_suite(name: str, **kw) -> list[Check]:
             checks.extend(suite(**kw))
         return checks
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name}; pick from {sorted(SUITES)} or 'all'")
+        raise OutOfRange(f"unknown suite {name}; pick from {sorted(SUITES)} or 'all'")
     return SUITES[name](**kw)

@@ -8,9 +8,12 @@ T + sum a_{r,tau} U_{r,tau} with the a's from the closed-form inner
 distribution; for even q only the minimum distance is certified, via a
 witness member of the right rank and type.
 
-The appendix material (zero counts of Q+L+c over all linear functions L)
-lives here too, both the closed frequency tables and the scalar
-square-class bookkeeping they rest on.
+Every closed count of a coset comes from one table: the frequencies of
+N(Q+L+c), the number of zeros of Q+L+c, over all linear functions L for
+one constant c (the paper's appendix tables).  The word Q+L+c has weight
+q^m - N(Q+L+c) when c = 0 and q^m - 1 - N(Q+L+c) when c != 0, so U and W
+are read off the c = 0 table and the sum of the c != 0 tables.  The scalar
+square-class bookkeeping of the appendix lives here too.
 """
 
 from __future__ import annotations
@@ -32,8 +35,16 @@ from .errors import (
     RankZero,
     WitnessNotFound,
 )
-from .forms import RankType, TraceQuadraticForm, all_rank_types, classify_quadratic, family_size, iter_family
-from .gfarith import FieldContext, eta_minus_one, field_for, small_field
+from .forms import (
+    RankType,
+    TraceQuadraticForm,
+    all_rank_types,
+    classify_quadratic,
+    family_size,
+    iter_family,
+    type_sign,
+)
+from .gfarith import FieldContext, field_for, small_field
 from .schemes import MAX_FAMILY_MEMBERS, FamilySpec, schmidt_for_family
 
 
@@ -66,14 +77,19 @@ class WeightEnumerator:
         )
 
 
-def _enumerator(length: int, pairs) -> WeightEnumerator:
+def _frequencies(pairs) -> dict[int, int]:
+    """Merge (key, frequency) pairs, dropping zeros; a negative frequency raises."""
     counts: dict[int, int] = {}
-    for w, c in pairs:
+    for k, c in pairs:
         if c < 0:
-            raise NegativeEntry(f"negative frequency {c} at weight {w}")
+            raise NegativeEntry(f"negative frequency {c} at {k}")
         if c:
-            counts[w] = counts.get(w, 0) + c
-    return WeightEnumerator(counts=counts, length=length)
+            counts[k] = counts.get(k, 0) + c
+    return counts
+
+
+def _enumerator(length: int, pairs) -> WeightEnumerator:
+    return WeightEnumerator(counts=_frequencies(pairs), length=length)
 
 
 def _checked_total(enum: WeightEnumerator, total: int) -> WeightEnumerator:
@@ -98,89 +114,29 @@ def prm_enumerator(q: int, m: int) -> WeightEnumerator:
     return _checked_total(enum, q ** (m + 1))
 
 
+def _coset_enumerator(q: int, m: int, rt: RankType) -> WeightEnumerator:
+    """The q^(m+1) words Q+L+c of one PRM coset, weighed by the rule in the
+    module docstring."""
+    if rt.rank == 0:
+        raise RankZero("rank-0 coset is PRM itself; use prm_enumerator")
+    _check_rank_type(q, m, rt)
+    pairs = [(q ** m - N, f) for N, f in _c_table(q, m, rt, 0).items()]
+    pairs += [(q ** m - 1 - N, f) for N, f in _nonzero_sum(q, m, rt).items()]
+    return _checked_total(_enumerator(q ** m - 1, pairs), q ** (m + 1))
+
+
 def coset_enumerator_odd(q: int, m: int, rt: RankType) -> WeightEnumerator:
     """U_{r,tau}(Z) for odd q, rank >= 1."""
     if q % 2 == 0:
         raise EvenCharacteristic("U tables are for odd q")
-    if rt.rank == 0:
-        raise RankZero("rank-0 coset is PRM itself; use prm_enumerator")
-    n = q ** m - 1
-    A = q ** m - q ** (m - 1)
-    r, tau = rt.rank, rt.type
-    em1 = eta_minus_one(q)
-    if r % 2:
-        sg = tau * em1 ** ((r - 1) // 2)
-        sw = q ** (m - (r + 1) // 2)
-        sf = q ** ((r - 1) // 2)
-        pairs = [
-            (A - sg * sw - 1, (q - 1) * ((q - 1) * q ** (r - 1) - sg * sf) // 2),
-            (A - sg * sw, (q - 1) * (q ** (r - 1) + sg * sf) // 2),
-            (A + sg * sw - 1, (q - 1) * ((q - 1) * q ** (r - 1) + sg * sf) // 2),
-            (A + sg * sw, (q - 1) * (q ** (r - 1) - sg * sf) // 2),
-            (A - 1, (q - 1) * (q ** m - q ** r + q ** (r - 1))),
-            (A, q ** m - q ** r + q ** (r - 1)),
-        ]
-    else:
-        sg = tau * em1 ** (r // 2)
-        sw = q ** (m - (r + 2) // 2)
-        sf = q ** ((r - 2) // 2)
-        pairs = [
-            (A - sg * sw * (q - 1) - 1, (q - 1) * (q ** (r - 1) - sg * sf)),
-            (A - sg * sw * (q - 1), q ** (r - 1) + sg * sf * (q - 1)),
-            (A - 1, (q - 1) * (q ** m - q ** r)),
-            (A, q ** m - q ** r),
-            (A + sg * sw - 1, (q - 1) * ((q - 1) * q ** (r - 1) + sg * sf)),
-            (A + sg * sw, (q - 1) * (q ** (r - 1) - sg * sf)),
-        ]
-    enum = _enumerator(n, pairs)
-    return _checked_total(enum, q ** (m + 1))
+    return _coset_enumerator(q, m, rt)
 
 
 def coset_enumerator_even(q: int, m: int, rt: RankType) -> WeightEnumerator:
     """W_{2r,0}, W_{2r+1,1} or W_{2r,2} for even q, rank >= 1."""
     if q % 2:
         raise EvenCharacteristic("W tables are for even q")
-    if rt.rank == 0:
-        raise RankZero("rank-0 coset is PRM itself; use prm_enumerator")
-    n = q ** m - 1
-    A = q ** m - q ** (m - 1)
-    if rt.type == 1:
-        r = (rt.rank - 1) // 2
-        s = q ** (m - r - 1)
-        pairs = [
-            (A - s - 1, (q - 1) * (q ** (2 * r + 1) - q ** (2 * r) - q ** r) // 2),
-            (A - s, (q - 1) * (q ** (2 * r) + q ** r) // 2),
-            (A - 1, (q - 1) * (q ** m - q ** (2 * r + 1) + q ** (2 * r))),
-            (A, q ** m - q ** (2 * r + 1) + q ** (2 * r)),
-            (A + s - 1, (q - 1) * (q ** (2 * r + 1) - q ** (2 * r) + q ** r) // 2),
-            (A + s, (q - 1) * (q ** (2 * r) - q ** r) // 2),
-        ]
-    elif rt.type == 0:
-        r = rt.rank // 2
-        s = q ** (m - r - 1)
-        pairs = [
-            (A - s * (q - 1) - 1, (q - 1) * (q ** (2 * r - 1) - q ** (r - 1))),
-            (A - s * (q - 1), q ** (2 * r - 1) + q ** (r - 1) * (q - 1)),
-            (A - 1, (q - 1) * (q ** m - q ** (2 * r))),
-            (A, q ** m - q ** (2 * r)),
-            (A + s - 1, (q - 1) * ((q - 1) * q ** (2 * r - 1) + q ** (r - 1))),
-            (A + s, (q - 1) * (q ** (2 * r - 1) - q ** (r - 1))),
-        ]
-    elif rt.type == 2:
-        r = rt.rank // 2
-        s = q ** (m - r - 1)
-        pairs = [
-            (A - s - 1, (q - 1) * ((q - 1) * q ** (2 * r - 1) - q ** (r - 1))),
-            (A - s, (q - 1) * (q ** (2 * r - 1) + q ** (r - 1))),
-            (A - 1, (q - 1) * (q ** m - q ** (2 * r))),
-            (A, q ** m - q ** (2 * r)),
-            (A + s * (q - 1) - 1, (q - 1) * (q ** (2 * r - 1) + q ** (r - 1))),
-            (A + s * (q - 1), q ** (2 * r - 1) - q ** (r - 1) * (q - 1)),
-        ]
-    else:
-        raise ValueError(f"even-q type must be 0, 1 or 2, got {rt.type}")
-    enum = _enumerator(n, pairs)
-    return _checked_total(enum, q ** (m + 1))
+    return _coset_enumerator(q, m, rt)
 
 
 def code_enumerator_odd(params: CodeParams) -> WeightEnumerator:
@@ -279,6 +235,57 @@ def min_distance_even(params: CodeParams):
 # appendix: N(Q+L+c) frequency tables
 # ---------------------------------------------------------------------------
 
+
+def _check_rank_type(q: int, m: int, rt: RankType) -> None:
+    small_field(q)  # NotPrime unless q is a prime power
+    if rt not in all_rank_types(q, m):
+        raise OutOfRange(f"no quadratic form of rank {rt.rank} and type {rt.type} on GF({q})^{m}")
+
+
+def _c_table(q: int, m: int, rt: RankType, s: int | None) -> dict[int, int]:
+    """Frequencies of N(Q+L+c) over the q^m linear functions L, for one c.
+
+    s = 0 for c = 0, s = eta(c) for odd q, s = None for any c != 0 when q
+    is even.  Each N is q^(m-1) + t*eps*off, eps = type_sign(q, rt).  Odd
+    rank: s enters only as eps*s (the nonsquare table of (r, tau) is the
+    square table of (r, -tau)), and the even-q type-1 table for c != 0 is
+    the mean of the tables for s = +1 and -1, so s = None counts as 0.
+    Even rank: only whether c = 0 matters.
+    """
+    r = rt.rank
+    eps = type_sign(q, rt)
+    if r % 2:
+        f, off = q ** ((r - 1) // 2), q ** (m - (r + 1) // 2)
+        twice = (q - 1) * q ** (r - 1)
+        if s == 0:
+            rows = [(0, q ** m - q ** r + q ** (r - 1)),
+                    (1, (twice + (q - 1) * eps * f) // 2),
+                    (-1, (twice - (q - 1) * eps * f) // 2)]
+        else:
+            s = s or 0
+            rows = [(0, q ** m - q ** r + q ** (r - 1) + eps * f * s),
+                    (1, (twice - eps * f * (1 + s)) // 2),
+                    (-1, (twice + eps * f * (1 - s)) // 2)]
+    else:
+        f, off = q ** ((r - 2) // 2), q ** (m - (r + 2) // 2)
+        u = q - 1 if s == 0 else -1  # upsilon(c)
+        rows = [(0, q ** m - q ** r),
+                (q - 1, q ** (r - 1) + u * eps * f),
+                (-1, (q - 1) * q ** (r - 1) - u * eps * f)]
+    table = _frequencies((q ** (m - 1) + t * eps * off, freq) for t, freq in rows)
+    if sum(table.values()) != q ** m:
+        raise CountMismatch(f"N(Q+L+c) table counts {sum(table.values())} functions, expected {q ** m}")
+    return table
+
+
+def _nonzero_sum(q: int, m: int, rt: RankType) -> dict[int, int]:
+    """The c tables summed over all q-1 nonzero c: (q-1)/2 copies of each
+    square class for odd q, q-1 copies of the one class for even q."""
+    classes = (1, -1) if q % 2 else (None,)
+    copies = (q - 1) // len(classes)
+    return _frequencies((N, copies * f) for s in classes for N, f in _c_table(q, m, rt, s).items())
+
+
 C_CLASSES_ODD = ("zero", "square", "nonsquare", "nonzero-sum")
 C_CLASSES_EVEN = ("zero", "nonzero", "nonzero-sum")
 
@@ -293,100 +300,13 @@ def appendix_frequency_tables(q: int, m: int, rt: RankType, c_class: str) -> dic
     """
     if rt.rank == 0:
         raise RankZero("appendix tables need rank >= 1")
-    F = small_field(q)
-    if rt not in all_rank_types(q, m):
-        raise OutOfRange(f"no quadratic form of rank {rt.rank} and type {rt.type} on GF({q})^{m}")
-    base = q ** (m - 1)
-    out: dict[int, int] = {}
-
-    def put(value, freq):
-        if freq < 0:
-            raise NegativeEntry(f"negative frequency {freq}")
-        if freq:
-            out[value] = out.get(value, 0) + freq
-
-    if F.p != 2:
-        if c_class not in C_CLASSES_ODD:
-            raise OutOfRange(f"odd q c_class must be one of {C_CLASSES_ODD}")
-        r, tau = rt.rank, rt.type
-        em1 = eta_minus_one(q)
-        if r % 2:
-            sg = tau * em1 ** ((r - 1) // 2)
-            off = q ** (m - (r + 1) // 2)
-            f_off = q ** ((r - 1) // 2)
-            plain = q ** m - q ** r + q ** (r - 1)
-            half = (q - 1) * q ** (r - 1) // 2
-            if c_class == "zero":
-                put(base, plain)
-                put(base + sg * off, half + sg * f_off * (q - 1) // 2)
-                put(base - sg * off, half - sg * f_off * (q - 1) // 2)
-            elif c_class == "square":
-                put(base, plain + sg * f_off)
-                put(base + sg * off, half - sg * f_off)
-                put(base - sg * off, half)
-            elif c_class == "nonsquare":
-                put(base, plain - sg * f_off)
-                put(base + sg * off, half)
-                put(base - sg * off, half + sg * f_off)
-            else:
-                put(base, (q - 1) * plain)
-                put(base + sg * off, (q - 1) * ((q - 1) * q ** (r - 1) - sg * f_off) // 2)
-                put(base - sg * off, (q - 1) * ((q - 1) * q ** (r - 1) + sg * f_off) // 2)
-        else:
-            sg = tau * em1 ** (r // 2)
-            off = q ** (m - (r + 2) // 2)
-            f_off = q ** ((r - 2) // 2)
-            plain = q ** m - q ** r
-            if c_class == "zero":
-                put(base, plain)
-                put(base + sg * off * (q - 1), q ** (r - 1) + sg * f_off * (q - 1))
-                put(base - sg * off, (q - 1) * (q ** (r - 1) - sg * f_off))
-            elif c_class in ("square", "nonsquare", "nonzero"):
-                put(base, plain)
-                put(base + sg * off * (q - 1), q ** (r - 1) - sg * f_off)
-                put(base - sg * off, (q - 1) * q ** (r - 1) + sg * f_off)
-            else:
-                put(base, (q - 1) * plain)
-                put(base + sg * off * (q - 1), (q - 1) * (q ** (r - 1) - sg * f_off))
-                put(base - sg * off, (q - 1) * ((q - 1) * q ** (r - 1) + sg * f_off))
-        return out
-
-    if c_class not in C_CLASSES_EVEN:
-        raise OutOfRange(f"even q c_class must be one of {C_CLASSES_EVEN}")
-    if rt.type == 1:
-        r = (rt.rank - 1) // 2
-        off = q ** (m - r - 1)
-        plain = q ** m - q ** (2 * r + 1) + q ** (2 * r)
-        if c_class == "zero":
-            put(base, plain)
-            put(base + off, (q - 1) * (q ** (2 * r) + q ** r) // 2)
-            put(base - off, (q - 1) * (q ** (2 * r) - q ** r) // 2)
-        elif c_class == "nonzero":
-            put(base, plain)
-            put(base + off, (q ** (2 * r + 1) - q ** (2 * r) - q ** r) // 2)
-            put(base - off, (q ** (2 * r + 1) - q ** (2 * r) + q ** r) // 2)
-        else:
-            put(base, (q - 1) * plain)
-            put(base + off, (q - 1) * (q ** (2 * r + 1) - q ** (2 * r) - q ** r) // 2)
-            put(base - off, (q - 1) * (q ** (2 * r + 1) - q ** (2 * r) + q ** r) // 2)
-        return out
-    r = rt.rank // 2
-    off = q ** (m - r - 1)
-    plain = q ** m - q ** (2 * r)
-    sign = 1 if rt.type == 0 else -1
-    if c_class == "zero":
-        put(base, plain)
-        put(base + sign * off * (q - 1), q ** (2 * r - 1) + sign * q ** (r - 1) * (q - 1))
-        put(base - sign * off, (q - 1) * (q ** (2 * r - 1) - sign * q ** (r - 1)))
-    elif c_class == "nonzero":
-        put(base, plain)
-        put(base + sign * off * (q - 1), q ** (2 * r - 1) - sign * q ** (r - 1))
-        put(base - sign * off, (q - 1) * q ** (2 * r - 1) + sign * q ** (r - 1))
-    else:
-        put(base, (q - 1) * plain)
-        put(base + sign * off * (q - 1), (q - 1) * (q ** (2 * r - 1) - sign * q ** (r - 1)))
-        put(base - sign * off, (q - 1) * ((q - 1) * q ** (2 * r - 1) + sign * q ** (r - 1)))
-    return out
+    _check_rank_type(q, m, rt)
+    classes = C_CLASSES_ODD if q % 2 else C_CLASSES_EVEN
+    if c_class not in classes:
+        raise OutOfRange(f"{'odd' if q % 2 else 'even'} q c_class must be one of {classes}")
+    if c_class == "nonzero-sum":
+        return _nonzero_sum(q, m, rt)
+    return _c_table(q, m, rt, {"zero": 0, "square": 1, "nonsquare": -1, "nonzero": None}[c_class])
 
 
 def intersection_table(q: int, b: int) -> tuple[int, ...]:

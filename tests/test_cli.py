@@ -173,14 +173,34 @@ def test_classify_form_field_budget(capsys, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("inner-dist", "--family", "Q2", "-q", "9", "-m", "4", "-i", "2", "--method", "census"),
+    ("inner-dist", "--family", "S2", "-q", "9", "-m", "4", "-i", "2", "--method", "both"),
+    ("design-check", "--family", "S2", "-q", "9", "-m", "4", "-i", "2", "-t", "2"),
+])
+def test_family_census_budget(capsys, monkeypatch, argv):
+    # 9^6 members: refused before any member is enumerated
+    enumerated = []
+    monkeypatch.setattr(cli, "census_inner_distribution", lambda spec: enumerated.append(spec))
+    monkeypatch.setattr(cli, "family_design_check", lambda spec, t: enumerated.append(spec))
+    monkeypatch.setenv("BCHFORMS_BUDGET", "small")
+    code, doc = run_cli(capsys, *argv)
+    assert code == 1
+    assert doc["error"] == "BudgetExceeded"
+    assert enumerated == []
+
+
 def test_package_has_no_assert():
-    # result guards must raise a typed error that survives python -O
+    # result guards must raise a typed error that survives python -O, and
+    # every raise names a BchFormsError, not a bare ValueError
     src = Path(cli.__file__).parent
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             where = f"{path.name}:{getattr(node, 'lineno', 0)}"
             assert not isinstance(node, ast.Assert), where
             assert not (isinstance(node, ast.Name) and node.id == "AssertionError"), where
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                assert not (isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ValueError"), where
 
 
 Q = st.integers(-1, 10)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from bchforms import forms, oracle, schemes
-from bchforms.errors import ArityMismatch, EvenCharacteristic, InvalidSubfield, RankZero
+from bchforms.errors import ArityMismatch, EvenCharacteristic, InvalidSubfield, OutOfRange, RankZero
 from bchforms.forms import (
     CoefficientForm,
     RankType,
     TraceQuadraticForm,
+    all_rank_types,
     bilinear_rank,
+    canonical_form,
     classify_quadratic,
     classify_symmetric,
     count_solutions_closed,
@@ -152,6 +154,22 @@ def test_count_solutions_closed_examples():
     assert count_solutions_closed(2, RankType(2, 0), 0, 2) == 3
     with pytest.raises(RankZero):
         count_solutions_closed(3, RankType(0, 1), 0, 2)
+
+
+def test_count_solutions_every_rank_type():
+    # canonical forms reach every rank/type, the families only some
+    for q, m in [(2, 4), (3, 4), (4, 3), (5, 3), (9, 2)]:
+        for rt in all_rank_types(q, m):
+            hist = np.bincount(canonical_form(q, m, rt).values_by_index(), minlength=q)
+            for h in range(q):
+                assert count_solutions_closed(q, rt, h, m) == hist[h], (q, m, rt, h)
+
+
+def test_form_construction_errors():
+    with pytest.raises(OutOfRange):
+        canonical_form(3, 2, RankType(3, 1))
+    with pytest.raises(OutOfRange):
+        CoefficientForm(small_field(3), np.zeros((2, 3), dtype=np.int64))
 
 
 def _rank_by_definition(form):

@@ -3,8 +3,8 @@ import pytest
 
 from bchforms import oracle, weights
 from bchforms.cyclotomic import code_params
-from bchforms.errors import EvenCharacteristic, RankZero
-from bchforms.forms import RankType, canonical_form, classify_quadratic, iter_family
+from bchforms.errors import EvenCharacteristic, OutOfRange, RankZero
+from bchforms.forms import RankType, all_rank_types, canonical_form, classify_quadratic, iter_family
 from bchforms.gfarith import field_for
 from bchforms.weights import (
     appendix_frequency_tables,
@@ -60,6 +60,32 @@ def test_coset_enumerator_even_examples():
     assert enum.total() == 16
     with pytest.raises(RankZero):
         coset_enumerator_even(2, 3, RankType(0, 0))
+
+
+@pytest.mark.parametrize("enumerator, q, m, rt", [
+    (coset_enumerator_even, 2, 3, RankType(2, 1)),
+    (coset_enumerator_even, 2, 3, RankType(3, 0)),
+    (coset_enumerator_odd, 3, 3, RankType(2, 0)),
+    (coset_enumerator_odd, 3, 3, RankType(5, 1)),
+])
+def test_coset_enumerator_rejects_absent_rank_type(enumerator, q, m, rt):
+    # no form of this rank and type exists on GF(q)^m
+    with pytest.raises(OutOfRange):
+        enumerator(q, m, rt)
+
+
+def test_coset_enumerators_every_rank_type():
+    """Every rank/type, not only those a family reaches: the closed table
+    equals the brute-force weight multiset of the canonical form's coset."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        m = 1
+        while q ** m <= 1 << 10:
+            fld = field_for(q, m)
+            for rt in all_rank_types(q, m):
+                qv = canonical_form(q, m, rt).values_by_index()[fld.exp_index]
+                closed = coset_enumerator_odd(q, m, rt) if q % 2 else coset_enumerator_even(q, m, rt)
+                assert closed.counts == oracle.coset_weight_distribution(fld, qv), (q, m, rt)
+            m += 1
 
 
 def test_coset_enumerators_match_bruteforce_over_families():
@@ -118,10 +144,8 @@ def test_min_distance_even_examples():
 
 
 def test_appendix_tables_vs_oracle_small():
-    for q, m in [(2, 3), (3, 3), (4, 2)]:
+    for q, m in [(2, 3), (3, 3), (4, 2), (7, 2), (8, 2), (9, 2), (8, 3), (9, 3)]:
         classes = weights.C_CLASSES_ODD if q % 2 else weights.C_CLASSES_EVEN
-        from bchforms.forms import all_rank_types
-
         for rt in all_rank_types(q, m):
             form = canonical_form(q, m, rt)
             assert classify_quadratic(form) == rt  # canonical round trip
