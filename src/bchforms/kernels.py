@@ -1,17 +1,19 @@
 """Hot counting kernels behind the exhaustive oracles (numpy only).
 
-``coset_weight_counts`` histograms the q^(m+1) words Q(x) + Tr(mu x) + eps
-of one PRM coset with a q-ary Walsh transform over GF(q)^m.  mu -> Tr(mu .)
-runs over all GF(q)-linear functionals, so the coset is {f + l.x + eps}.
-Starting from A[x, v] = [f(x) = v] (f(0) = 0), m rounds, each a q x q
-exchange along one coordinate axis, give
+``walsh_table`` is a q-ary Walsh transform over GF(q)^m.  Starting from
+A[v, x] = [f(x) = v], m rounds, each a q x q exchange along one
+coordinate axis, give
 
-    T[l, v] = #{x in GF(q)^m : f(x) + l.x = v}
+    T[v, l] = #{x in GF(q)^m : f(x) + l.x = v}
 
-and the word (l, eps) has weight n - (T[l, -eps] - [eps = 0]).  This is the
-q-ary form of reading a first-order Reed-Muller coset's weights off its
-Walsh spectrum (MacWilliams & Sloane, The Theory of Error-Correcting Codes,
-ch. 14).  The cost is O(m q^(m+2)) exact integer operations per coset.
+for every GF(q)-linear functional l, in O(m q^(m+2)) exact integer
+operations.  ``coset_weight_counts`` histograms the q^(m+1) words
+Q(x) + Tr(mu x) + eps of one PRM coset from it: mu -> Tr(mu .) runs over
+all linear functionals, so the coset is {f + l.x + eps}, and the word
+(l, eps) has weight n - (T[-eps, l] - [eps = 0]).  This is the q-ary form
+of reading a first-order Reed-Muller coset's weights off its Walsh
+spectrum (MacWilliams & Sloane, The Theory of Error-Correcting Codes,
+ch. 14).
 
 The coordinates of x = alpha^t are read from the trace vector itself,
 x_b = trv[t+b] for b < m.  That is a linear coordinate system only if trv
@@ -30,6 +32,7 @@ Conventions shared by all kernels:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,7 +63,6 @@ class _Plan:
     m: int
     pos: np.ndarray    # pos[t]: coordinate index sum_b x_b q^b of alpha^t
     rows: np.ndarray   # rows[0] = 0 (mu = 0), rows[1+k]: index of Tr(alpha^k .)
-    vsrc: np.ndarray   # vsrc[v, c, a] = v - c*a
 
 
 # rebound, never mutated, so threads read a consistent snapshot; two
@@ -107,9 +109,29 @@ def _build_plan(trv2: np.ndarray, pair: np.ndarray, q: int) -> _Plan:
     # Tr(alpha^k x) at x = e_j is trv[t_j + k]: the functional's coordinates
     rows = np.zeros(n + 1, dtype=np.int64)
     rows[1:] = trv2[unit[:, None] + np.arange(n)].T @ qpow
+    return _Plan(trv2=trv2, pair=pair, m=m, pos=pos, rows=rows)
+
+
+@lru_cache(maxsize=None)
+def _round_indices(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(vsrc, a): vsrc[v, c, a] = v - c*a in GF(q), and a = 0..q-1."""
+    F = small_field(q)
     a = np.arange(q)
-    vsrc = add[a[:, None, None], F.neg[mul[a[None, :, None], a[None, None, :]]]]
-    return _Plan(trv2=trv2, pair=pair, m=m, pos=pos, rows=rows, vsrc=vsrc)
+    return F.add[a[:, None, None], F.neg[F.mul[a[None, :, None], a[None, None, :]]]].astype(np.intp), a
+
+
+def walsh_table(vals, q: int, m: int) -> np.ndarray:
+    """T[v, l] = #{x in GF(q)^m : vals[x] + l.x = v} (int32), where vals[x]
+    is the GF(q) value at the coordinate index x = sum_b x_b q^b and l is
+    a coordinate index too."""
+    size = q ** m
+    # T[v, x]; each round transforms the lowest digit and rotates it to
+    # the top, so after m rounds T[v, l] is in order
+    vsrc, a = _round_indices(q)
+    T = np.asarray(vals) == a[:, None]  # bool; the first round sums it to int32
+    for _ in range(m):
+        T = T.reshape(q, size // q, q)[vsrc, :, a].sum(axis=2, dtype=np.int32)
+    return T.reshape(q, size)
 
 
 def _coset_weights(qv, trv2, pair, neg) -> tuple[_Plan, np.ndarray]:
@@ -117,15 +139,9 @@ def _coset_weights(qv, trv2, pair, neg) -> tuple[_Plan, np.ndarray]:
     q = neg.shape[0]
     plan = _plan(trv2, pair, q)
     size = qv.shape[0] + 1
-    # T[v, x], x = sum_b x_b q^b; each round transforms the lowest digit
-    # and rotates it to the top, so after m rounds T[v, l] is in order
-    T = np.zeros((q, size), dtype=np.int32)
-    T[0, 0] = 1
-    T[qv, plan.pos] = 1
-    a = np.arange(q)
-    for _ in range(plan.m):
-        T = T.reshape(q, size // q, q)[plan.vsrc, :, a].sum(axis=2, dtype=np.int32)
-    W = size - 1 - T.reshape(q, size)[neg]
+    vals = np.zeros(size, dtype=np.int64)
+    vals[plan.pos] = qv
+    W = size - 1 - walsh_table(vals, q, plan.m)[neg]
     W[0] += 1
     return plan, W
 

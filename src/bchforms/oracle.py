@@ -3,12 +3,14 @@
 Every closed formula in the package is tested against the enumerations
 here.  Nothing in this module assumes any structural theorem: code weight
 distributions come from walking all codewords (by trace message or by
-information word), rank/type censuses classify each family member one by
-one, and the appendix oracle counts zeros of Q+L+c over every (L, c).
-The trace-route coset histogram uses one fact beyond counting: that
-mu -> Tr(mu x) is GF(q)-linear, so the words of a coset are f + l.x + eps
-over all functionals l.  The kernel checks at run time that the trace
-vector is a linear m-sequence before it relies on this.
+information word), and rank/type censuses classify each family member one
+by one.  The trace-route coset histogram and the appendix oracle read
+N(Q+L+c) for every linear functional L and constant c off one Walsh table,
+T[v, l] = #{x : Q(x) + l.x = v} (``kernels.walsh_table``), which is an
+exact count, not a formula.  The trace route uses one fact beyond
+counting: that mu -> Tr(mu x) is GF(q)-linear, so the words of a coset are
+f + l.x + eps over all functionals l.  The kernel checks at run time that
+the trace vector is a linear m-sequence before it relies on this.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import kernels
 from .cyclotomic import CodeParams
 from .errors import BudgetExceeded, CountMismatch, OutOfRange
 from .forms import CoefficientForm, family_domains, family_size, family_slots, iter_family, polarize
-from .gfarith import FieldContext, digits, field_for, small_field
+from .gfarith import FieldContext, field_for, small_field
 from .schemes import FamilySpec, InnerDistribution, _tally
 from .weights import WeightEnumerator
 
@@ -177,19 +179,6 @@ def oracle_min_distance(params: CodeParams, budget: EnumerationBudget | None = N
     return trace_route_weights(params, budget, workers).min_positive_weight()
 
 
-def count_zeros(f, size: int, budget: EnumerationBudget | None = None) -> int:
-    """N(f) = |{x : f(x) = 0}| over all element indices 0..size-1."""
-    budget = budget or EnumerationBudget.from_env()
-    budget.check_field(size)
-    return sum(1 for x in range(size) if f(x) == 0)
-
-
-def weight_of_function(f, size: int, budget: EnumerationBudget | None = None) -> int:
-    """wt(f) = |{x != 0 : f(x) != 0}| = q^m - 1 - N(f) + [f(0)=0]."""
-    n_zeros = count_zeros(f, size, budget)
-    return size - 1 - n_zeros + (1 if f(0) == 0 else 0)
-
-
 def rank_type_census(spec_or_q, m: int | None = None, i: int | None = None,
                      budget: EnumerationBudget | None = None) -> InnerDistribution:
     """Classify every family member independently and tally.
@@ -229,22 +218,11 @@ def coset_weight_distribution(field: FieldContext, form) -> dict[int, int]:
 def appendix_census(q: int, m: int, coeff_form: CoefficientForm, c_class: str,
                     budget: EnumerationBudget | None = None) -> dict[int, int]:
     """Frequencies of N(Q+L+c) over all q^m linear functions L, with c
-    ranging over one square class (or summed over GF(q)*), counted
-    exhaustively."""
+    ranging over one square class (or summed over GF(q)*): N(Q+L+c) is
+    T[-c, L] of the Walsh table of Q, counted per c."""
     budget = budget or EnumerationBudget.from_env()
     budget.check_field(q ** m)
     F = small_field(q)
-    size = q ** m
-    digs = digits(np.arange(size), q, m)
-    qv = coeff_form.values_by_index()
-    add = F.add.astype(np.int64)
-    mul = F.mul.astype(np.int64)
-    # lin[b, x] = sum_a b_a x_a
-    lin = np.zeros((size, size), dtype=np.int64)
-    for a in range(m):
-        term = mul[digs[:, a][:, None], digs[:, a][None, :]]
-        lin = add[lin, term]
-    vals = add[qv[None, :], lin]
     if c_class == "zero":
         cs = [0]
     elif c_class == "square":
@@ -257,10 +235,9 @@ def appendix_census(q: int, m: int, coeff_form: CoefficientForm, c_class: str,
         cs = list(range(1, q))
     else:
         raise OutOfRange(f"unknown c class {c_class}")
+    T = kernels.walsh_table(coeff_form.values_by_index(), q, m)
     out: dict[int, int] = {}
     for c in cs:
-        target = int(F.neg[c])
-        zeros = np.count_nonzero(vals == target, axis=1)
-        for z, freq in zip(*np.unique(zeros, return_counts=True)):
+        for z, freq in zip(*np.unique(T[F.neg[c]], return_counts=True)):
             out[int(z)] = out.get(int(z), 0) + int(freq)
     return out

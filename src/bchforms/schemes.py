@@ -109,30 +109,27 @@ class InnerDistribution:
 def _bilinear_gram(field: FieldContext, i: int, lambdas: tuple[int, ...]) -> GramMatrix:
     """Gram matrix of Tr((sum_j lam_j x^(q^j) + lam_j^(q^-j) x^(q^-j)) y)
     on the polynomial basis (the S/A family parametrization).  For odd q,
-    the lambdas halved give B_Q of the quadratic member with those lambdas."""
-    m = field.m
+    the lambdas halved give B_Q of the quadratic member with those lambdas.
+
+    The trace is linear, so each term lam' x^e contributes
+    Tr(lam' e_a^e e_b) = trace_vec[log lam' + e log e_a + log e_b] to
+    entry (a, b); the half slot has the one term lam x^(q^(m/2))."""
+    m, n, q = field.m, field.n, field.q
     F = field.base
-    slots = family_slots(m, i)
-    basis = [field.from_coeffs([1 if t == a else 0 for t in range(m)]) for a in range(m)]
-    # L(x) = sum over slots of the x-side coefficient
-    images = []
-    for x in basis:
-        acc = 0
-        for slot, lam in zip(slots, lambdas):
-            if lam == 0:
-                continue
-            if slot.half:
-                acc = field.add(acc, field.mul(lam, field.frob(x, m // 2)))
-            else:
-                acc = field.add(acc, field.mul(lam, field.frob(x, slot.j)))
-                acc = field.add(acc, field.mul(field.frob(lam, m - slot.j), field.frob(x, m - slot.j)))
-        images.append(acc)
+    ell = field.log_index[q ** np.arange(m)]  # logs of the basis e_a = q^a
     gram = np.zeros((m, m), dtype=np.int64)
-    for a in range(m):
-        for b in range(m):
-            gram[a, b] = field.trace_to_base(field.mul(images[a], basis[b]))
+    for slot, lam in zip(family_slots(m, i), lambdas):
+        if lam == 0:
+            continue
+        log_lam = int(field.log_index[lam])
+        if slot.half:
+            terms = [(log_lam, q ** (m // 2))]
+        else:
+            terms = [(log_lam, q ** slot.j), (log_lam * q ** (m - slot.j), q ** (m - slot.j))]
+        for log_coef, e in terms:
+            gram = F.add[gram, field.trace_vec[(log_coef + ell[:, None] * (e % n) + ell[None, :]) % n]]
     kind = "symmetric" if F.p != 2 else "alternating"
-    return GramMatrix(entries=gram, kind=kind, field_q=F)
+    return GramMatrix(entries=gram.astype(np.int64), kind=kind, field_q=F)
 
 
 def enumerate_family(spec: FamilySpec, field: FieldContext | None = None):

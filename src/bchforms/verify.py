@@ -103,7 +103,11 @@ def verify_schemes(q: int | None = None, m: int | None = None, i: int | None = N
     out: list[Check] = []
     schmidt_cases = SCHMIDT_FAMILIES
     if q and m and i is not None:
-        schmidt_cases = [("S1" if m % 2 else "S2", q, m, i)]
+        spec = FamilySpec("S1" if m % 2 else "S2", q, m, i)
+        budget = budget or EnumerationBudget.from_env()
+        budget.check_field(q ** m)
+        budget.check_members(spec.size)
+        schmidt_cases = [(spec.kind, q, m, i)]
     for kind, qq, mm, ii in schmidt_cases:
         try:
             closed = schmidt_for_family(FamilySpec(kind, qq, mm, ii))
@@ -158,6 +162,7 @@ def verify_schemes(q: int | None = None, m: int | None = None, i: int | None = N
 
 def verify_appendix(q: int | None = None, max_m: int = 4,
                     budget: EnumerationBudget | None = None) -> list[Check]:
+    budget = budget or EnumerationBudget.from_env()
     out: list[Check] = []
     for qq in _qs(q):
         for m in range(2, max_m + 1):
@@ -167,7 +172,7 @@ def verify_appendix(q: int | None = None, max_m: int = 4,
                 form = canonical_form(qq, m, rt)
                 for c_class in classes:
                     closed = wts.appendix_frequency_tables(qq, m, rt, c_class)
-                    counted = orc.appendix_census(qq, m, form, c_class)
+                    counted = orc.appendix_census(qq, m, form, c_class, budget)
                     if closed != counted:
                         bad.append((rt.rank, rt.type, c_class))
             out.append(

@@ -190,6 +190,19 @@ def test_family_census_budget(capsys, monkeypatch, argv):
     assert enumerated == []
 
 
+def test_verify_schemes_budget(capsys, monkeypatch):
+    # the same rule as inner-dist: GF(9^4) and 9^6 members exceed the small budget
+    from bchforms import verify
+
+    enumerated = []
+    monkeypatch.setattr(verify, "census_inner_distribution", lambda spec: enumerated.append(spec))
+    code, doc = run_cli(capsys, "verify", "schemes", "--q", "9", "--m", "4", "--i", "2", "--budget", "small")
+    assert code == 1
+    assert set(doc) == {"command", "error", "message"}
+    assert doc["error"] == "BudgetExceeded"
+    assert enumerated == []
+
+
 def test_package_has_no_assert():
     # result guards must raise a typed error that survives python -O, and
     # every raise names a BchFormsError, not a bare ValueError
@@ -229,8 +242,11 @@ def cli_argv(draw):
         return [cmd, "-n", str(n), "-d", str(d), "-q", str(draw(Q))]
     if cmd == "appendix-table":
         c_class = draw(st.sampled_from(["zero", "square", "nonsquare", "nonzero", "nonzero-sum", "bogus"]))
-        return [cmd, *qm, "--rank", str(draw(st.integers(-1, 7))), "--type", str(draw(st.integers(-2, 3))),
-                "--c-class", c_class, "--no-oracle"]
+        argv = [cmd, *qm, "--rank", str(draw(st.integers(-1, 7))), "--type", str(draw(st.integers(-2, 3))),
+                "--c-class", c_class]
+        # the oracle is one Walsh table: cheap up to q^m = 2^12
+        q, m = int(qm[1]), int(qm[3])
+        return argv if m < 1 or abs(q) ** m <= 1 << 12 else argv + ["--no-oracle"]
     # the census of a family is not under the enumeration budget, so only
     # the closed form is drawn here
     family = draw(st.sampled_from(["Q1", "Q2", "S1", "S2", "A1", "A2"]))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,17 +7,16 @@ from bchforms import kernels, oracle
 from bchforms.bchcode import generator_polynomial
 from bchforms.cyclotomic import code_params
 from bchforms.errors import BchFormsError, BudgetExceeded, CountMismatch, OutOfRange
-from bchforms.gfarith import field_for
+from bchforms.forms import RankType, all_rank_types, canonical_form
+from bchforms.gfarith import digits, field_for, small_field
 from bchforms.oracle import (
     EnumerationBudget,
-    count_zeros,
     enumerate_code_weights,
     generator_route_weights,
     rank_type_census,
     trace_route_weights,
-    weight_of_function,
 )
-from bchforms.weights import code_enumerator_odd
+from bchforms.weights import C_CLASSES_EVEN, C_CLASSES_ODD, appendix_frequency_tables, code_enumerator_odd
 
 
 def test_budget_from_env(monkeypatch):
@@ -108,19 +109,6 @@ def test_dropped_count_raises_typed_error(monkeypatch):
     assert issubclass(CountMismatch, BchFormsError)
 
 
-def test_count_zeros_and_weight():
-    fld = field_for(3, 3)
-    assert count_zeros(lambda x: 0, fld.size) == 27
-    assert weight_of_function(lambda x: 0, fld.size) == 0
-    # nonzero linear Tr(mu x): kernel of a surjective GF(q)-linear map
-    mu = fld.alpha
-    f = lambda x: fld.trace_to_base(fld.mul(mu, x))  # noqa: E731
-    assert count_zeros(f, fld.size) == 9
-    assert weight_of_function(f, fld.size) == 27 - 9
-    with pytest.raises(BudgetExceeded):
-        count_zeros(lambda x: 0, 10 ** 9)
-
-
 def test_rank_type_census_examples():
     from bchforms.schemes import FamilySpec, census_inner_distribution
 
@@ -160,3 +148,58 @@ def test_zero_code_edge():
     code = CyclicCode(field=fld, length=7, generator=g, dimension=0)
     dist = generator_route_weights(code)
     assert dist.counts == {0: 1}
+
+
+def _appendix_by_matrix(q, m, forms):
+    """Reference for appendix_census: the q^m x q^m matrix of Q(x) + l.x
+    over every (l, x), its zeros of Q+L+c counted row by row, per c class;
+    one table per form."""
+    F = small_field(q)
+    size = q ** m
+    digs = digits(np.arange(size), q, m)
+    lin = np.zeros((size, size), dtype=np.uint8)
+    for a in range(m):
+        lin = F.add[lin, F.mul[digs[:, a][:, None], digs[:, a][None, :]]]
+    nonsquare = [min(set(range(1, q)) - F.squares)] if q % 2 else []
+    cs = {"zero": [0], "square": [1], "nonsquare": nonsquare, "nonzero": [1], "nonzero-sum": range(1, q)}
+    tables = []
+    for form in forms:
+        vals = F.add[form.values_by_index()[None, :], lin]
+        table = {}
+        for c_class, cls in cs.items():
+            tally = table.setdefault(c_class, {})
+            for c in cls:
+                zeros = np.count_nonzero(vals == F.neg[c], axis=1)
+                for z, freq in zip(*np.unique(zeros, return_counts=True)):
+                    tally[int(z)] = tally.get(int(z), 0) + int(freq)
+        tables.append(table)
+    return tables
+
+
+def test_appendix_census_matches_matrix_route():
+    cases = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        classes = C_CLASSES_ODD if q % 2 else C_CLASSES_EVEN
+        m = 1
+        while q ** m <= 1 << 10:
+            forms = [canonical_form(q, m, rt) for rt in all_rank_types(q, m)]
+            for form, ref in zip(forms, _appendix_by_matrix(q, m, forms)):
+                for c_class in classes:
+                    assert oracle.appendix_census(q, m, form, c_class) == ref[c_class], (q, m, form.coeffs, c_class)
+                    cases += 1
+            m += 1
+    assert cases == 671
+
+
+def test_appendix_census_memory():
+    # the matrix route needs about 24 q^(2m) bytes, 6 GB here
+    rt = RankType(2, 0)
+    form = canonical_form(2, 14, rt)
+    tracemalloc.start()
+    try:
+        counted = oracle.appendix_census(2, 14, form, "zero", EnumerationBudget())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    assert counted == appendix_frequency_tables(2, 14, rt, "zero")

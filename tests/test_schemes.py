@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from bchforms import schemes
+from bchforms import schemes, verify
 from bchforms.errors import ParityMismatch
-from bchforms.forms import classify_quadratic, iter_family
+from bchforms.forms import GramMatrix, classify_quadratic, family_domains, family_slots, iter_family
 from bchforms.gfarith import field_for
 from bchforms.schemes import (
     FamilySpec,
@@ -192,6 +194,48 @@ def test_bilinear_gram_halved_is_polarization():
         g1 = schemes._bilinear_gram(fld, 1, (fld.mul(half, lam),)).entries
         g2 = polarize(form).entries
         assert np.array_equal(g1, g2), lam
+
+
+def _scalar_bilinear_gram(field, i, lambdas):
+    """Reference for schemes._bilinear_gram: the images L(e_a) by scalar
+    Frobenius powers, then Tr(L(e_a) e_b) entry by entry."""
+    m = field.m
+    basis = [field.from_coeffs([1 if t == a else 0 for t in range(m)]) for a in range(m)]
+    images = []
+    for x in basis:
+        acc = 0
+        for slot, lam in zip(family_slots(m, i), lambdas):
+            if lam == 0:
+                continue
+            if slot.half:
+                acc = field.add(acc, field.mul(lam, field.frob(x, m // 2)))
+            else:
+                acc = field.add(acc, field.mul(lam, field.frob(x, slot.j)))
+                acc = field.add(acc, field.mul(field.frob(lam, m - slot.j), field.frob(x, m - slot.j)))
+        images.append(acc)
+    gram = np.zeros((m, m), dtype=np.int64)
+    for a in range(m):
+        for b in range(m):
+            gram[a, b] = field.trace_to_base(field.mul(images[a], basis[b]))
+    return GramMatrix(entries=gram, kind="symmetric" if field.p != 2 else "alternating", field_q=field.base)
+
+
+def test_bilinear_gram_matches_scalar_route():
+    # every member of the S/A families that the verify suites and the
+    # acceptance tests census, odd m and even m (half slot) both
+    specs = {FamilySpec(*f) for f in verify.SCHMIDT_FAMILIES}
+    specs |= {FamilySpec(k, q, m, i) for _, k, q, m, i in verify.CORRESPONDENCE_ODD + verify.CORRESPONDENCE_EVEN}
+    specs |= {FamilySpec(*f) for f in [("S1", 3, 3, 1), ("S2", 3, 4, 2), ("A1", 2, 5, 2), ("A2", 2, 6, 3)]}
+    assert {s.m % 2 for s in specs} == {0, 1} and {s.kind[0] for s in specs} == {"S", "A"}
+    members = 0
+    for spec in specs:
+        fld = field_for(spec.q, spec.m)
+        for lams, gram in zip(itertools.product(*family_domains(fld, spec.i)), enumerate_family(spec, fld)):
+            ref = _scalar_bilinear_gram(fld, spec.i, lams)
+            assert gram.entries.dtype == ref.entries.dtype and gram.kind == ref.kind
+            assert gram.entries.tobytes() == ref.entries.tobytes(), (spec, lams)
+            members += 1
+    assert members == sum(s.size for s in specs) == 1531
 
 
 def test_family_additive_closure_sampled():
