@@ -38,6 +38,13 @@ def _budget(args) -> EnumerationBudget:
     return EnumerationBudget.parse(raw) if raw else EnumerationBudget.from_env()
 
 
+def _check_field(q: int, m: int) -> None:
+    """Refuse GF(q^m) above the field budget before any work is done."""
+    if m < 1:
+        raise OutOfRange(f"m={m} must be >= 1")
+    EnumerationBudget.from_env().check_field(q ** m)
+
+
 def cmd_params(args):
     p = cyc.code_params(args.q, args.m, args.i)
     return {
@@ -48,11 +55,13 @@ def cmd_params(args):
 
 
 def cmd_coset_leaders(args):
+    _check_field(args.q, args.m)
     leaders = cyc.coset_leaders_geq(args.threshold, args.q, args.m)
     return {"threshold": args.threshold, "leaders": leaders}
 
 
 def cmd_genpoly(args):
+    _check_field(args.q, args.m)
     code = generator_polynomial(args.q, args.m, args.delta)
     return code.to_json()
 
@@ -91,16 +100,14 @@ def _parse_lambdas(raw: str) -> tuple[int, ...]:
 
 def cmd_classify_form(args):
     lambdas = _parse_lambdas(args.lambdas)
-    if args.m < 1:
-        raise OutOfRange(f"m={args.m} must be >= 1")
-    EnumerationBudget.from_env().check_field(args.q ** args.m)
+    _check_field(args.q, args.m)
     form = TraceQuadraticForm(field_for(args.q, args.m), args.i, lambdas)
     rt = classify_quadratic(form)
     return {
         "lambdas": list(lambdas),
         "rank": rt.rank,
         "type": rt.type,
-        "gram": polarize(form).to_lists(),
+        "gram": polarize(form).entries.tolist(),
     }
 
 

@@ -1,9 +1,9 @@
 """q-cyclotomic cosets modulo q^m-1, coset leaders, BCH dimensions.
 
 Everything here is integer combinatorics on exponents; no field arithmetic.
-Coset-leader sets are found by direct enumeration with a visited bitmap, so
-the closed descriptions proved in the source theory are checked against
-this module rather than trusted.
+Coset-leader sets are found by direct enumeration of every exponent's
+leader (``_leader_table``), so the closed descriptions proved in the source
+theory are checked against this module rather than trusted.
 """
 
 from __future__ import annotations
@@ -74,24 +74,27 @@ def is_coset_leader(s: int, q: int, m: int) -> bool:
     return True
 
 
-def all_coset_leaders(q: int, m: int) -> list[tuple[int, int]]:
-    """All (leader, coset size) pairs, by a linear scan with a visited bitmap."""
+def _leader_table(q: int, m: int) -> np.ndarray:
+    """lead[t] = min(C_t) for 0 <= t < q^m - 1: multiplying by q modulo
+    q^m - 1 rotates the m base-q digits of t, so min(C_t) is the least rotation."""
     n = q ** m - 1
-    seen = np.zeros(n, dtype=bool)
-    out = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        t = s
-        size = 0
-        while True:
-            seen[t] = True
-            size += 1
-            t = t * q % n
-            if t == s:
-                break
-        out.append((s, size))
-    return out
+    top = q ** (m - 1)
+    t = np.arange(n, dtype=np.int32 if n < 1 << 31 else np.int64)
+    lead = t.copy()
+    for _ in range(m - 1):
+        high = t // top
+        t -= high * top  # t % top, without numpy's slow integer modulo
+        t *= q
+        t += high
+        np.minimum(lead, t, out=lead)
+    return lead
+
+
+def all_coset_leaders(q: int, m: int) -> list[tuple[int, int]]:
+    """All (leader, coset size) pairs, ascending; a size counts the exponents led."""
+    lead = _leader_table(q, m)
+    leaders = np.flatnonzero(lead == np.arange(len(lead)))
+    return list(zip(leaders.tolist(), np.bincount(lead)[leaders].tolist()))
 
 
 def coset_leaders_geq(threshold: int, q: int, m: int) -> list[int]:
@@ -110,27 +113,20 @@ def bch_dimension(q: int, m: int, delta: int) -> int:
     n = q ** m - 1
     if not 2 <= delta <= n:
         raise OutOfRange(f"delta={delta} out of [2, q^m-1]")
-    return 1 + sum(size for s, size in all_coset_leaders(q, m) if s >= delta)
+    return 1 + int(np.count_nonzero(_leader_table(q, m) >= delta))
 
 
 def bose_distance(q: int, m: int, delta: int) -> int:
     """Smallest positive integer outside the union of the cosets of 1..delta-1.
 
-    That is the largest designed distance producing the same code.
+    That is the largest designed distance producing the same code: the
+    first d >= delta whose coset leader is >= delta (n when there is none).
     """
     n = q ** m - 1
     if not 2 <= delta <= n:
         raise OutOfRange(f"delta={delta} out of [2, q^m-1]")
-    covered = np.zeros(n, dtype=bool)
-    for s in range(1, delta):
-        t = s
-        while not covered[t]:
-            covered[t] = True
-            t = t * q % n
-    d = delta
-    while d < n and covered[d]:
-        d += 1
-    return d
+    free = np.flatnonzero(_leader_table(q, m)[delta:] >= delta)
+    return delta + int(free[0]) if free.size else n
 
 
 def theorem_i_range(q: int, m: int) -> range:

@@ -16,6 +16,7 @@ classification code does not care which one it gets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import (
     OutOfRange,
     RankZero,
 )
-from .gfarith import FieldContext, SmallField, digits, digitwise, eta_minus_one, small_field
+from .gfarith import FieldContext, SmallField, eta_minus_one, small_field
 
 
 @dataclass(frozen=True)
@@ -86,16 +87,24 @@ def type_sign(q: int, rt: RankType) -> int:
 
 @dataclass
 class GramMatrix:
+    """``entries`` is a read-only int64 copy, so the cached row reduction stays valid."""
+
     entries: np.ndarray  # m x m of GF(q) element indices
     kind: str            # "symmetric" | "alternating" | "coefficient"
     field_q: SmallField
+
+    def __post_init__(self):
+        self.entries = np.array(self.entries, dtype=np.int64)
+        self.entries.flags.writeable = False
 
     @property
     def m(self) -> int:
         return self.entries.shape[0]
 
-    def to_lists(self) -> list[list[int]]:
-        return [[int(v) for v in row] for row in self.entries]
+    @cached_property
+    def reduced(self) -> tuple[list[list[int]], list[int]]:
+        """``_row_reduce`` of the entries: rank and radical share one elimination."""
+        return _row_reduce(self.entries, self.field_q)
 
 
 class TraceQuadraticForm:
@@ -182,18 +191,18 @@ class CoefficientForm:
         """Values over all q^m points, index encoding sum(c_i q^i)."""
         if self._values is None:
             F, m, q = self.field_q, self.m, self.q
-            digs = digits(np.arange(q ** m), q, m)
-            acc = np.zeros(q ** m, dtype=np.int64)
-            mul = F.mul.astype(np.int64)
-            add = F.add.astype(np.int64)
-            for a in range(m):
-                for b in range(m):
-                    c = int(self.coeffs[a, b])
-                    if c:
-                        term = mul[c, mul[digs[:, a], digs[:, b]]]
-                        acc = add[acc, term]
-            self._values = acc
+            acc = np.zeros(q ** m, dtype=np.uint8)
+            for a, b in zip(*np.nonzero(self.coeffs)):
+                term = F.mul[self.coeffs[a, b], F.mul[self._digit(a), self._digit(b)]]
+                acc = F.add[acc, term]
+            self._values = acc.astype(np.int64)
         return self._values
+
+    def _digit(self, a: int) -> np.ndarray:
+        """Coordinate a of every point (uint8), one column at a time."""
+        q = self.q
+        col = np.arange(q, dtype=np.uint8)[:, None]
+        return np.broadcast_to(col, (q ** (self.m - a - 1), q, q ** a)).reshape(-1)
 
 
 def polarize(form) -> GramMatrix:
@@ -204,23 +213,19 @@ def polarize(form) -> GramMatrix:
     B(x,y) = Q(x+y)+Q(x)+Q(y), which is alternating.
 
     Both form classes index the point sum_a c_a e_a as sum_a c_a q^a, so
-    the basis vectors are the indices q^a and x+y is their digitwise sum.
+    the basis vectors are the indices q^a, e_a + e_b (a != b) is q^a + q^b
+    and 2 e_a is (1+1) q^a: one gather reads every Q(e_a + e_b).
     """
     F = form.field_q
-    m = form.m
     vals = form.values_by_index()
-    gram = np.zeros((m, m), dtype=np.int64)
+    basis = F.q ** np.arange(form.m, dtype=np.int64)
+    both = basis[:, None] + basis[None, :]
+    np.fill_diagonal(both, F.add_el(1, 1) * basis)
+    minus = F.neg[vals[basis]]
+    gram = F.add[F.add[vals[both], minus[:, None]], minus[None, :]]
     odd = F.p != 2
-    basis = [F.q ** a for a in range(m)]
-    for a in range(m):
-        for b in range(a, m):
-            s = int(vals[digitwise(basis[a], basis[b], F.p)])
-            s = F.add_el(s, F.neg_el(int(vals[basis[a]])))
-            s = F.add_el(s, F.neg_el(int(vals[basis[b]])))
-            if odd:
-                s = F.half(s)
-            gram[a, b] = s
-            gram[b, a] = s
+    if odd:
+        gram = F.mul[gram, F.half(1)]
     kind = "symmetric" if odd else "alternating"
     if not odd and gram.diagonal().any():
         raise BchFormsError("even-q polarization must be alternating")  # internal bug
@@ -230,21 +235,22 @@ def polarize(form) -> GramMatrix:
 def _row_reduce(M, F: SmallField) -> tuple[list[list[int]], list[int]]:
     """Gauss-Jordan elimination over GF(q) of a matrix of any shape: the
     reduced row echelon rows and the pivot columns."""
-    A = [list(map(int, row)) for row in M]
+    add, mul, neg = F.add_rows, F.mul_rows, F.neg_list
+    A = np.asarray(M, dtype=np.int64).tolist()
     cols = len(A[0]) if A else 0
     pivots: list[int] = []
     for c in range(cols):
         top = len(pivots)
-        piv = next((r for r in range(top, len(A)) if A[r][c] != 0), None)
+        piv = next((r for r in range(top, len(A)) if A[r][c]), None)
         if piv is None:
             continue
         A[top], A[piv] = A[piv], A[top]
-        inv = F.inv_el(A[top][c])
-        A[top] = [F.mul_el(inv, v) for v in A[top]]
-        for r in range(len(A)):
-            if r != top and A[r][c] != 0:
-                f = F.neg_el(A[r][c])
-                A[r] = [F.add_el(A[r][t], F.mul_el(f, A[top][t])) for t in range(cols)]
+        scale = mul[F.inv_el(A[top][c])]
+        prow = A[top] = [scale[v] for v in A[top]]
+        for r, row in enumerate(A):
+            if r != top and row[c]:
+                f = mul[neg[row[c]]]
+                A[r] = [add[x][f[y]] for x, y in zip(row, prow)]
         pivots.append(c)
     return A, pivots
 
@@ -252,15 +258,15 @@ def _row_reduce(M, F: SmallField) -> tuple[list[list[int]], list[int]]:
 def bilinear_rank(M: GramMatrix | np.ndarray, field_q: SmallField | None = None) -> int:
     """Matrix rank over GF(q)."""
     if isinstance(M, GramMatrix):
-        M, field_q = M.entries, M.field_q
-    return len(_row_reduce(np.asarray(M), field_q)[1])
+        return len(M.reduced[1])
+    return len(_row_reduce(M, field_q)[1])
 
 
 def radical_basis(M: GramMatrix) -> list[list[int]]:
     """Basis of Rad B = {v : Mv = 0} as GF(q) coordinate vectors."""
     F = M.field_q
     m = M.m
-    A, pivots = _row_reduce(M.entries, F)
+    A, pivots = M.reduced
     basis = []
     for fc in (c for c in range(m) if c not in pivots):
         v = [0] * m
@@ -281,25 +287,22 @@ def classify_symmetric(M: GramMatrix) -> RankType:
     F = M.field_q
     if F.p == 2:
         raise EvenCharacteristic("classify_symmetric needs odd q")
-    m = M.m
-    A = [list(map(int, row)) for row in M.entries]
-    remaining = list(range(m))
+    add, mul, neg = F.add_rows, F.mul_rows, F.neg_list
+    A = M.entries.tolist()
+    remaining = list(range(M.m))
     diag = []
     while remaining:
-        piv = next((k for k in remaining if A[k][k] != 0), None)
+        piv = next((k for k in remaining if A[k][k]), None)
         if piv is None:
-            pair = next(
-                ((k, l) for k in remaining for l in remaining if A[k][l] != 0), None
-            )
+            pair = next(((k, l) for k in remaining for l in remaining if A[k][l]), None)
             if pair is None:
                 break
             k, l = pair
             # push a nonzero entry onto the diagonal: row/col l added to k
             # gives A[k][k] = 2 A[k][l] != 0 in odd characteristic
-            for t in range(m):
-                A[k][t] = F.add_el(A[k][t], A[l][t])
-            for t in range(m):
-                A[t][k] = F.add_el(A[t][k], A[t][l])
+            A[k] = [add[x][y] for x, y in zip(A[k], A[l])]
+            for row in A:
+                row[k] = add[row[k]][row[l]]
             piv = k
         d = A[piv][piv]
         diag.append(d)
@@ -307,17 +310,16 @@ def classify_symmetric(M: GramMatrix) -> RankType:
         for r in remaining:
             if r == piv or A[r][piv] == 0:
                 continue
-            f = F.neg_el(F.mul_el(A[r][piv], dinv))
-            for t in range(m):
-                A[r][t] = F.add_el(A[r][t], F.mul_el(f, A[piv][t]))
-            for t in range(m):
-                A[t][r] = F.add_el(A[t][r], F.mul_el(f, A[t][piv]))
+            f = mul[neg[mul[A[r][piv]][dinv]]]
+            A[r] = [add[x][f[y]] for x, y in zip(A[r], A[piv])]
+            for row in A:
+                row[r] = add[row[r]][f[row[piv]]]
         remaining.remove(piv)
     if not diag:
         return RankType(0, 1)
     prod = 1
     for d in diag:
-        prod = F.mul_el(prod, d)
+        prod = mul[prod][d]
     return RankType(len(diag), F.quadratic_character(prod))
 
 

@@ -239,37 +239,39 @@ class SmallField:
             inv[a] = np.nonzero(mul[a] == 1)[0][0]
         self.inv = inv
 
+        # list copies for scalar lookups, several times cheaper than numpy's
+        self.add_rows = self.add.tolist()
+        self.mul_rows = mul.tolist()
+        self.neg_list = self.neg.tolist()
+        self.inv_list = inv.tolist()
+
         squares = sorted({int(mul[a, a]) for a in range(1, q)})
         self.squares = frozenset(squares)
-        eta = np.zeros(q, dtype=np.int64)
-        if p != 2:
-            for a in range(1, q):
-                eta[a] = 1 if a in self.squares else -1
-        self._eta = eta
+        self._eta = [0] + [1 if a in self.squares else -1 for a in range(1, q)]
 
     # scalar ops (ints in 0..q-1)
     def add_el(self, a: int, b: int) -> int:
-        return int(self.add[a, b])
+        return self.add_rows[a][b]
 
     def sub_el(self, a: int, b: int) -> int:
-        return int(self.add[a, self.neg[b]])
+        return self.add_rows[a][self.neg_list[b]]
 
     def neg_el(self, a: int) -> int:
-        return int(self.neg[a])
+        return self.neg_list[a]
 
     def mul_el(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
+        return self.mul_rows[a][b]
 
     def inv_el(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return int(self.inv[a])
+        return self.inv_list[a]
 
     def quadratic_character(self, a: int) -> int:
         """eta(a): +1 for nonzero squares, -1 for nonsquares, 0 at zero."""
         if self.p == 2:
             raise EvenCharacteristic("quadratic character needs odd q")
-        return int(self._eta[a])
+        return self._eta[a]
 
     def upsilon(self, a: int) -> int:
         """-1 on nonzero elements, q-1 at zero."""

@@ -129,7 +129,7 @@ def _bilinear_gram(field: FieldContext, i: int, lambdas: tuple[int, ...]) -> Gra
         for log_coef, e in terms:
             gram = F.add[gram, field.trace_vec[(log_coef + ell[:, None] * (e % n) + ell[None, :]) % n]]
     kind = "symmetric" if F.p != 2 else "alternating"
-    return GramMatrix(entries=gram.astype(np.int64), kind=kind, field_q=F)
+    return GramMatrix(entries=gram, kind=kind, field_q=F)
 
 
 def enumerate_family(spec: FamilySpec, field: FieldContext | None = None):

@@ -173,6 +173,23 @@ def test_classify_form_field_budget(capsys, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("argv,worker", [
+    (("coset-leaders", "-q", "2", "-m", "26", "--threshold", "3"), "coset_leaders_geq"),
+    (("genpoly", "-q", "2", "-m", "24", "--delta", "5"), "generator_polynomial"),
+])
+def test_field_budget_before_work(capsys, monkeypatch, argv, worker):
+    # GF(2^24) and GF(2^26) exceed the default 2^20 field budget
+    called = []
+    target = cli.cyc if worker == "coset_leaders_geq" else cli
+    monkeypatch.setattr(target, worker, lambda *a: called.append(a))
+    monkeypatch.delenv("BCHFORMS_BUDGET", raising=False)
+    code, doc = run_cli(capsys, *argv)
+    assert code == 1
+    assert set(doc) == {"command", "error", "message"}
+    assert doc["error"] == "BudgetExceeded"
+    assert called == []
+
+
 @pytest.mark.parametrize("argv", [
     ("inner-dist", "--family", "Q2", "-q", "9", "-m", "4", "-i", "2", "--method", "census"),
     ("inner-dist", "--family", "S2", "-q", "9", "-m", "4", "-i", "2", "--method", "both"),

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from bchforms import cyclotomic as cyc
@@ -159,3 +162,57 @@ def test_theorem_sweep_budget():
     # a smaller budget gives a subset
     small = {(p.q, p.m, p.i) for p in cyc.theorem_sweep(max_codewords=1 << 16)}
     assert small < keys
+
+
+def _all_coset_leaders_ref(q, m):
+    """Reference: (leader, size) pairs by a linear scan with a visited bitmap."""
+    n = q ** m - 1
+    seen = np.zeros(n, dtype=bool)
+    out = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        t = s
+        size = 0
+        while True:
+            seen[t] = True
+            size += 1
+            t = t * q % n
+            if t == s:
+                break
+        out.append((s, size))
+    return out
+
+
+def _bose_distance_ref(q, m, delta):
+    """Reference: mark the cosets of 1..delta-1, then walk up from delta."""
+    n = q ** m - 1
+    covered = np.zeros(n, dtype=bool)
+    for s in range(1, delta):
+        t = s
+        while not covered[t]:
+            covered[t] = True
+            t = t * q % n
+    d = delta
+    while d < n and covered[d]:
+        d += 1
+    return d
+
+
+LEADER_GRID = [(q, m) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16) for m in range(1, 17)
+               if q ** m <= 1 << 16] + [(2, 20)]
+
+
+@pytest.mark.parametrize("q,m", LEADER_GRID)
+def test_leader_table_matches_loop_reference(q, m):
+    n = q ** m - 1
+    ref = _all_coset_leaders_ref(q, m)
+    assert cyc.all_coset_leaders(q, m) == ref
+    rng = random.Random(1000 * q + m)
+    sampled = 6 if n < 1 << 16 else 1  # the reference walk is O(n) per delta
+    deltas = range(2, n + 1) if n <= 256 else sorted({2, n, *(rng.randint(2, n) for _ in range(sampled))})
+    for delta in deltas:
+        assert cyc.bose_distance(q, m, delta) == _bose_distance_ref(q, m, delta), delta
+        assert cyc.bch_dimension(q, m, delta) == 1 + sum(size for s, size in ref if s >= delta), delta
+        if delta < n:
+            assert cyc.coset_leaders_geq(delta, q, m) == [s for s, _ in ref if s >= delta], delta
