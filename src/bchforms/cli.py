@@ -75,7 +75,7 @@ def cmd_enumerator(args):
         if odd:
             payload["closed"] = wts.code_enumerator_odd(params).to_json()
         else:
-            d, witness = wts.min_distance_even(params)
+            d, witness = wts.min_distance_even(params, budget)
             payload["closed"] = {"min_distance": d, "witness": witness}
     if args.mode in ("oracle", "both"):
         dist = orc.trace_route_weights(params, budget, args.workers)
@@ -115,7 +115,6 @@ def cmd_inner_dist(args):
     spec = FamilySpec(args.family, args.q, args.m, args.i)
     payload: dict = {"family": args.family, "size": spec.size}
     if args.method in ("census", "both"):
-        EnumerationBudget.from_env().check_members(spec.size)
         payload["census"] = census_inner_distribution(spec).to_json()
     if args.method in ("closed", "both"):
         payload["closed"] = schmidt_for_family(spec).to_json()
@@ -132,7 +131,6 @@ def cmd_dg_bound(args):
 
 def cmd_design_check(args):
     spec = FamilySpec(args.family, args.q, args.m, args.i)
-    EnumerationBudget.from_env().check_members(spec.size)
     return {"family": args.family, "t": args.t, "is_design": family_design_check(spec, args.t)}
 
 

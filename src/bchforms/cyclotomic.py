@@ -143,12 +143,12 @@ def _check_qm(q: int, m: int) -> None:
         raise IndexOutOfTheoremRange(f"q={q} needs m >= {min_m}")
 
 
-def code_params(q: int, m: int, i: int, check_dimension: bool = True) -> CodeParams:
+def code_params(q: int, m: int, i: int) -> CodeParams:
     """Parameters of C_(q,m,delta_i) for i in the main-theorem range.
 
-    The dimension comes from the closed form (i-(m-5)/2)m+1; when
-    check_dimension is set and q^m is small enough to enumerate cosets,
-    it is verified against the coset-size summation.
+    The dimension comes from the closed form (i-(m-5)/2)m+1; when q^m is
+    small enough to enumerate cosets, it is verified against the
+    coset-size summation.
     """
     _check_qm(q, m)
     rng = theorem_i_range(q, m)
@@ -159,7 +159,7 @@ def code_params(q: int, m: int, i: int, check_dimension: bool = True) -> CodePar
     if delta_i < 2:
         raise DegenerateCode(f"delta_i={delta_i} < 2 for (q,m,i)=({q},{m},{i})")
     dimension = m * (2 * i - m + 5) // 2 + 1
-    if check_dimension and q ** m <= 1 << 20:
+    if q ** m <= 1 << 20:
         by_cosets = bch_dimension(q, m, delta_i)
         if by_cosets != dimension:
             raise CountMismatch(

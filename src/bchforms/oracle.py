@@ -18,61 +18,23 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from itertools import islice, product
 
 import numpy as np
 
 from . import kernels
 from .cyclotomic import CodeParams
-from .errors import BudgetExceeded, CountMismatch, OutOfRange
-from .forms import CoefficientForm, family_domains, family_size, family_slots, iter_family, polarize
+from .errors import CountMismatch, OutOfRange
+from .forms import CoefficientForm, family_domains, family_size, family_slots, polarize
 from .gfarith import FieldContext, field_for, small_field
-from .schemes import FamilySpec, InnerDistribution, _tally
+from .schemes import EnumerationBudget, FamilySpec, InnerDistribution, _tally, enumerate_family
 from .weights import WeightEnumerator
 
-DEFAULT_MAX_CODEWORDS = 1 << 24
-DEFAULT_MAX_FIELD = 1 << 20
 # trace_route_weights starts its thread pool from this many entries gathered
 # per transform round, q^(m+2).  On 2 cores two threads ran 40%-2.5x slower
 # than one up to 19683 ((3,7,3), (2,12,5), all oracle-wide codes) and 10-20%
 # faster from 59049 ((3,8,3), (4,6,2), (2,14,6)), 1.7-1.9x at 2^18 and up.
 POOL_MIN_TRANSFORM = 1 << 15
-
-
-@dataclass(frozen=True)
-class EnumerationBudget:
-    max_codewords: int = DEFAULT_MAX_CODEWORDS
-    max_field_size: int = DEFAULT_MAX_FIELD
-
-    @staticmethod
-    def parse(raw: str | None) -> "EnumerationBudget":
-        """'small', 'default' (or empty), or a positive integer codeword cap."""
-        raw = (raw or "").strip().lower()
-        if not raw or raw == "default":
-            return EnumerationBudget()
-        if raw == "small":
-            return EnumerationBudget(max_codewords=1 << 16, max_field_size=1 << 12)
-        if not raw.isdecimal() or int(raw) < 1:
-            raise OutOfRange(f"budget {raw!r} is not 'small', 'default' or a positive integer")
-        return EnumerationBudget(max_codewords=int(raw))
-
-    @staticmethod
-    def from_env() -> "EnumerationBudget":
-        """BCHFORMS_BUDGET, read by parse."""
-        return EnumerationBudget.parse(os.environ.get("BCHFORMS_BUDGET"))
-
-    def check_codewords(self, count: int) -> None:
-        if count > self.max_codewords:
-            raise BudgetExceeded(f"{count} codewords exceed budget {self.max_codewords}")
-
-    def check_members(self, count: int) -> None:
-        if count > self.max_codewords:
-            raise BudgetExceeded(f"family of {count} members exceeds the budget of {self.max_codewords}")
-
-    def check_field(self, size: int) -> None:
-        if size > self.max_field_size:
-            raise BudgetExceeded(f"field size {size} exceeds budget {self.max_field_size}")
 
 
 def default_workers() -> int:
@@ -179,25 +141,17 @@ def oracle_min_distance(params: CodeParams, budget: EnumerationBudget | None = N
     return trace_route_weights(params, budget, workers).min_positive_weight()
 
 
-def rank_type_census(spec_or_q, m: int | None = None, i: int | None = None,
-                     budget: EnumerationBudget | None = None) -> InnerDistribution:
+def rank_type_census(spec: FamilySpec, budget: EnumerationBudget | None = None) -> InnerDistribution:
     """Classify every family member independently and tally.
 
-    Accepts a FamilySpec or plain (q, m, i) meaning the Q family.  The S/A
-    censuses classify the polarizations of the quadratic members, which is
-    a different code path from schemes.census_inner_distribution (bilinear
-    parametrization), so the two never validate themselves.
+    The members are those of the Q family with the same (q, m, i), drawn
+    from enumerate_family under its budget.  The S/A censuses classify
+    their polarizations, which is a different code path from
+    schemes.census_inner_distribution (bilinear parametrization), so the
+    two never validate themselves.
     """
-    if isinstance(spec_or_q, FamilySpec):
-        spec = spec_or_q
-    else:
-        q_ = spec_or_q
-        spec = FamilySpec("Q1" if m % 2 else "Q2", q_, m, i)
-    q, m, i = spec.q, spec.m, spec.i
-    budget = budget or EnumerationBudget.from_env()
-    budget.check_field(q ** m)
-    budget.check_members(spec.size)
-    members = iter_family(field_for(q, m), i)
+    qspec = FamilySpec("Q" + spec.kind[1], spec.q, spec.m, spec.i)
+    members = enumerate_family(qspec, budget)
     if not spec.kind.startswith("Q"):
         members = (polarize(form) for form in members)
     return _tally(spec, members)

@@ -9,6 +9,7 @@ be played against each other.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -36,8 +37,48 @@ from .forms import (
 from .gfarith import FieldContext, eta_minus_one, field_for, prime_power, small_field
 
 FAMILY_KINDS = ("Q1", "Q2", "S1", "S2", "A1", "A2")
-# family scans classify members one at a time, so larger families are refused
+DEFAULT_MAX_CODEWORDS = 1 << 24
+DEFAULT_MAX_FIELD = 1 << 20
+# family scans classify members one at a time, so no budget admits more
 MAX_FAMILY_MEMBERS = 1 << 20
+
+
+@dataclass(frozen=True)
+class EnumerationBudget:
+    max_codewords: int = DEFAULT_MAX_CODEWORDS
+    max_field_size: int = DEFAULT_MAX_FIELD
+
+    @staticmethod
+    def parse(raw: str | None) -> "EnumerationBudget":
+        """'small', 'default' (or empty), or a positive integer codeword cap."""
+        raw = (raw or "").strip().lower()
+        if not raw or raw == "default":
+            return EnumerationBudget()
+        if raw == "small":
+            return EnumerationBudget(max_codewords=1 << 16, max_field_size=1 << 12)
+        if not raw.isdecimal() or int(raw) < 1:
+            raise OutOfRange(f"budget {raw!r} is not 'small', 'default' or a positive integer")
+        return EnumerationBudget(max_codewords=int(raw))
+
+    @staticmethod
+    def from_env() -> "EnumerationBudget":
+        """BCHFORMS_BUDGET, read by parse."""
+        return EnumerationBudget.parse(os.environ.get("BCHFORMS_BUDGET"))
+
+    def check_codewords(self, count: int) -> None:
+        if count > self.max_codewords:
+            raise BudgetExceeded(f"{count} codewords exceed budget {self.max_codewords}")
+
+    def check_members(self, count: int) -> None:
+        """A family scan may hold min(codeword cap, MAX_FAMILY_MEMBERS) members."""
+        cap = min(self.max_codewords, MAX_FAMILY_MEMBERS)
+        if count > cap:
+            name = "budget" if cap == self.max_codewords else "family scan limit"
+            raise BudgetExceeded(f"family of {count} members exceeds the {name} of {cap}")
+
+    def check_field(self, size: int) -> None:
+        if size > self.max_field_size:
+            raise BudgetExceeded(f"field size {size} exceeds budget {self.max_field_size}")
 
 
 @dataclass(frozen=True)
@@ -85,11 +126,6 @@ class InnerDistribution:
     def total(self) -> int:
         return sum(self.entries.values())
 
-    def rank_count(self, rank: int) -> int:
-        if self.scheme_kind == "Alt":
-            return self.entries.get(rank, 0)
-        return sum(v for k, v in self.entries.items() if k[0] == rank)
-
     def min_nonzero_rank(self) -> int | None:
         ranks = [self._rank(k) for k, v in self.entries.items() if v and self._rank(k) > 0]
         return min(ranks) if ranks else None
@@ -132,19 +168,24 @@ def _bilinear_gram(field: FieldContext, i: int, lambdas: tuple[int, ...]) -> Gra
     return GramMatrix(entries=gram, kind=kind, field_q=F)
 
 
-def enumerate_family(spec: FamilySpec, field: FieldContext | None = None):
-    """Yield every member of the family exactly once.
+def enumerate_family(spec: FamilySpec, budget: EnumerationBudget | None = None):
+    """Every member of the family exactly once: the one member source of
+    every family scan.
 
-    Q kinds yield TraceQuadraticForm, S/A kinds yield GramMatrix built from
-    the bilinear-form parametrization (independent of the polarization code
-    path, so censuses of Q against S/A are a real cross-check).
+    The budget (BCHFORMS_BUDGET when None) is applied at call time, before
+    the field is built: GF(q^m) against the field cap, then spec.size
+    against the member cap.  Q kinds give TraceQuadraticForm in lambda
+    order, S/A kinds GramMatrix from the bilinear-form parametrization
+    (independent of the polarization code path, so censuses of Q against
+    S/A are a real cross-check).
     """
-    fld = field or field_for(spec.q, spec.m)
+    budget = budget or EnumerationBudget.from_env()
+    budget.check_field(spec.q ** spec.m)
+    budget.check_members(spec.size)
+    field = field_for(spec.q, spec.m)
     if spec.kind.startswith("Q"):
-        yield from iter_family(fld, spec.i)
-        return
-    for lams in product(*family_domains(fld, spec.i)):
-        yield _bilinear_gram(fld, spec.i, lams)
+        return iter_family(field, spec.i)
+    return (_bilinear_gram(field, spec.i, lams) for lams in product(*family_domains(field, spec.i)))
 
 
 def _tally(spec: FamilySpec, members) -> InnerDistribution:
@@ -163,11 +204,10 @@ def _tally(spec: FamilySpec, members) -> InnerDistribution:
     return dist
 
 
-def census_inner_distribution(spec: FamilySpec) -> InnerDistribution:
-    """Exact inner distribution by classifying every member."""
-    if spec.size > MAX_FAMILY_MEMBERS:
-        raise BudgetExceeded(f"census of {spec.size} members exceeds the limit of {MAX_FAMILY_MEMBERS}")
-    return _tally(spec, enumerate_family(spec))
+def census_inner_distribution(spec: FamilySpec, budget: EnumerationBudget | None = None) -> InnerDistribution:
+    """Exact inner distribution by classifying every member; the family
+    must fit the budget of enumerate_family."""
+    return _tally(spec, enumerate_family(spec, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +425,7 @@ def t_design_check(members, t: int, q: int, m: int) -> bool:
     return True
 
 
-def family_design_check(spec: FamilySpec, t: int) -> bool:
-    """t-design check for a whole S family."""
-    return t_design_check(list(enumerate_family(spec)), t, spec.q, spec.m)
+def family_design_check(spec: FamilySpec, t: int, budget: EnumerationBudget | None = None) -> bool:
+    """t-design check for a whole S family; the family must fit the budget
+    of enumerate_family."""
+    return t_design_check(list(enumerate_family(spec, budget)), t, spec.q, spec.m)

@@ -10,11 +10,10 @@ from . import cyclotomic as cyc
 from . import oracle as orc
 from . import weights as wts
 from .bchcode import generator_polynomial
-from .errors import BchFormsError, OutOfRange
-from .forms import all_rank_types, canonical_form, classify_quadratic, iter_family
-from .gfarith import field_for
-from .oracle import EnumerationBudget
+from .errors import BchFormsError, BudgetExceeded, OutOfRange
+from .forms import all_rank_types, canonical_form, classify_quadratic
 from .schemes import (
+    EnumerationBudget,
     FamilySpec,
     census_inner_distribution,
     dg_bound,
@@ -75,10 +74,9 @@ def verify_forms(q: int | None = None, budget: EnumerationBudget | None = None) 
     for qq, m, i in FORM_FAMILIES:
         if q and qq != q:
             continue
-        fld = field_for(qq, m)
         bad = 0
         n_forms = 0
-        for form in iter_family(fld, i):
+        for form in enumerate_family(FamilySpec("Q1" if m % 2 else "Q2", qq, m, i), budget):
             rt = classify_quadratic(form)
             n_forms += 1
             if rt.rank == 0:
@@ -103,33 +101,31 @@ def verify_schemes(q: int | None = None, m: int | None = None, i: int | None = N
     out: list[Check] = []
     schmidt_cases = SCHMIDT_FAMILIES
     if q and m and i is not None:
-        spec = FamilySpec("S1" if m % 2 else "S2", q, m, i)
-        budget = budget or EnumerationBudget.from_env()
-        budget.check_field(q ** m)
-        budget.check_members(spec.size)
-        schmidt_cases = [(spec.kind, q, m, i)]
+        schmidt_cases = [("S1" if m % 2 else "S2", q, m, i)]
     for kind, qq, mm, ii in schmidt_cases:
         try:
+            census = census_inner_distribution(FamilySpec(kind, qq, mm, ii), budget)
             closed = schmidt_for_family(FamilySpec(kind, qq, mm, ii))
-            census = census_inner_distribution(FamilySpec(kind, qq, mm, ii))
             ok = closed.entries == census.entries
             detail = "entrywise equal" if ok else f"closed={closed.entries} census={census.entries}"
+        except BudgetExceeded:
+            raise  # a refusal is an error of the run, not a failed check
         except BchFormsError as exc:
             ok, detail = False, str(exc)
         out.append((f"schmidt-vs-census {kind}({qq},{mm},{ii})", ok, detail))
     for qk, sk, qq, mm, ii in CORRESPONDENCE_ODD:
         if q and qq != q:
             continue
-        qd = orc.rank_type_census(FamilySpec(qk, qq, mm, ii))
-        sd = census_inner_distribution(FamilySpec(sk, qq, mm, ii))
+        qd = orc.rank_type_census(FamilySpec(qk, qq, mm, ii), budget)
+        sd = census_inner_distribution(FamilySpec(sk, qq, mm, ii), budget)
         out.append(
             (f"correspondence-odd {qk}~{sk}({qq},{mm},{ii})", qd.entries == sd.entries, "")
         )
     for qk, ak, qq, mm, ii in CORRESPONDENCE_EVEN:
         if q and qq != q:
             continue
-        qd = orc.rank_type_census(FamilySpec(qk, qq, mm, ii))
-        ad = census_inner_distribution(FamilySpec(ak, qq, mm, ii))
+        qd = orc.rank_type_census(FamilySpec(qk, qq, mm, ii), budget)
+        ad = census_inner_distribution(FamilySpec(ak, qq, mm, ii), budget)
         ok = True
         for rank in range(0, mm + 1, 2):
             lhs = (
@@ -140,13 +136,13 @@ def verify_schemes(q: int | None = None, m: int | None = None, i: int | None = N
             ok = ok and lhs == ad.entries.get(rank, 0)
         out.append((f"correspondence-even {qk}~{ak}({qq},{mm},{ii})", ok, ""))
     if q in (None, 2):
-        ad = census_inner_distribution(FamilySpec("A1", 2, 5, 2))
+        ad = census_inner_distribution(FamilySpec("A1", 2, 5, 2), budget)
         ok = is_proper_d_code(ad, 4) and ad.total() == dg_bound(5, 2, 2)
         out.append(("dg-bound-attained A1(2,5,2)", ok, f"|Y|={ad.total()} bound={dg_bound(5, 2, 2)}"))
     if q in (None, 3):
-        ok = family_design_check(FamilySpec("S1", 3, 3, 1), 2)
+        ok = family_design_check(FamilySpec("S1", 3, 3, 1), 2, budget)
         out.append(("2-design S1(3,3,1)", ok, ""))
-        members = list(enumerate_family(FamilySpec("S1", 3, 3, 1)))
+        members = list(enumerate_family(FamilySpec("S1", 3, 3, 1), budget))
         corrupted = [g for g in members if g.entries.any()][:-1]
         corrupted += [g for g in members if not g.entries.any()]
         ok = not t_design_check(corrupted, 2, 3, 3)
@@ -186,20 +182,20 @@ def verify_examples(budget: EnumerationBudget | None = None,
     """The worked examples: closed enumerators against full enumeration."""
     budget = budget or EnumerationBudget.from_env()
     out: list[Check] = []
-    cases = [(3, 3, 1)]
-    if budget.max_codewords >= 3 ** 11:
-        cases.append((3, 4, 2))
-    for q, m, i in cases:
+    for q, m, i in [(3, 3, 1), (3, 4, 2)]:
         params = cyc.code_params(q, m, i)
+        if q ** params.dimension > budget.max_codewords:
+            continue
         closed = wts.code_enumerator_odd(params)
         brute = orc.trace_route_weights(params, budget, workers)
         out.append(
             (f"enumerator-closed-vs-oracle ({q},{m},{i})", closed.counts == brute.counts, "")
         )
-    even_cases = [(2, 6, 2), (2, 6, 3)] if budget.max_codewords >= 1 << 16 else [(2, 6, 2)]
-    for q, m, i in even_cases:
+    for q, m, i in [(2, 6, 2), (2, 6, 3)]:
         params = cyc.code_params(q, m, i)
-        d, witness = wts.min_distance_even(params)
+        if q ** params.dimension > budget.max_codewords:
+            continue
+        d, witness = wts.min_distance_even(params, budget)
         brute = orc.trace_route_weights(params, budget, workers)
         ok = d == params.delta_i == brute.min_positive_weight() and witness["weight"] == d
         out.append((f"min-distance-even ({q},{m},{i})", ok, f"d={d}"))

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import kernels
 from .cyclotomic import CodeParams
+from .bchcode import TraceCodewordSpec, trace_codeword
 from .errors import (
     BchFormsError,
-    BudgetExceeded,
     CountMismatch,
     EvenCharacteristic,
     NegativeEntry,
@@ -40,12 +40,10 @@ from .forms import (
     TraceQuadraticForm,
     all_rank_types,
     classify_quadratic,
-    family_size,
-    iter_family,
     type_sign,
 )
-from .gfarith import FieldContext, field_for, small_field
-from .schemes import MAX_FAMILY_MEMBERS, FamilySpec, schmidt_for_family
+from .gfarith import FieldContext, small_field
+from .schemes import EnumerationBudget, FamilySpec, enumerate_family, schmidt_for_family
 
 
 @dataclass
@@ -68,13 +66,6 @@ class WeightEnumerator:
             "length": self.length,
             "counts": {str(w): str(c) for w, c in sorted(self.counts.items())},
         }
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeightEnumerator)
-            and self.length == other.length
-            and self.counts == other.counts
-        )
 
 
 def _frequencies(pairs) -> dict[int, int]:
@@ -170,27 +161,22 @@ def coset_words_weight_table(field: FieldContext, form: TraceQuadraticForm) -> n
     return kernels.coset_weight_table(qv, trv2, pair, neg)
 
 
-def min_distance_even(params: CodeParams):
+def min_distance_even(params: CodeParams, budget: EnumerationBudget | None = None):
     """Minimum distance delta_i for even q with an explicit witness.
 
-    Scans the family in lambda-lexicographic order for a member of rank
-    2m-2i-1 type 1 or rank 2m-2i-2 type 2, checks no member has rank
-    2m-2i-2 type 0, and pins a coset word of weight exactly delta_i.
-    Returns (distance, witness dict).
+    Scans the family, drawn from enumerate_family under its budget, in
+    lambda-lexicographic order for a member of rank 2m-2i-1 type 1 or rank
+    2m-2i-2 type 2, checks no member has rank 2m-2i-2 type 0, and pins a
+    coset word of weight exactly delta_i.  Returns (distance, witness dict).
     """
     q, m, i = params.q, params.m, params.i
     if q % 2:
         raise EvenCharacteristic("min_distance_even needs even q")
-    if family_size(q, m, i) > MAX_FAMILY_MEMBERS:
-        raise BudgetExceeded(
-            f"scan of {family_size(q, m, i)} family members exceeds the limit of {MAX_FAMILY_MEMBERS}"
-        )
-    field = field_for(q, m)
     target_rank1 = 2 * m - 2 * i - 1
     target_rank2 = 2 * m - 2 * i - 2
     witness_form = None
     witness_rt = None
-    for form in iter_family(field, i):
+    for form in enumerate_family(FamilySpec("Q1" if m % 2 else "Q2", q, m, i), budget):
         rt = classify_quadratic(form)
         if rt == RankType(target_rank2, 0):
             raise BchFormsError(
@@ -201,22 +187,14 @@ def min_distance_even(params: CodeParams):
             witness_rt = rt
     if witness_form is None:
         raise WitnessNotFound(f"no rank/type witness in the family for ({q},{m},{i})")
+    field = witness_form.field
     table = coset_words_weight_table(field, witness_form)
     hits = np.argwhere(table == params.delta_i)
     if hits.size == 0:
         raise WitnessNotFound("witness coset contains no word of weight delta_i")
     row, eps = (int(v) for v in hits[0])
     mu = 0 if row == 0 else int(field.exp_index[row - 1])
-    # recount the witness word directly
-    F = field.base
-    qv = witness_form.value_vec()
-    tr = field.trace_vec
-    if mu == 0:
-        lin = np.zeros(field.n, dtype=np.int64)
-    else:
-        k = int(field.log_index[mu])
-        lin = tr[(np.arange(field.n) + k) % field.n]
-    word = F.add[F.add[qv, lin], eps]
+    word = trace_codeword(params, TraceCodewordSpec(witness_form.lambdas, mu, eps), field)
     witness_word = int(np.count_nonzero(word))
     if witness_word != params.delta_i:
         raise CountMismatch("witness recount disagrees")  # internal bug

@@ -184,7 +184,7 @@ def test_criterion_8_full_scale_closed_forms_only():
     # internally consistent, and the oracle must refuse rather than run
     cases = [(5, 9, 4), (5, 10, 4), (3, 13, 6), (7, 7, 3)]
     for q, m, i in cases:
-        params = code_params(q, m, i, check_dimension=False)
+        params = code_params(q, m, i)
         enum = wts.code_enumerator_odd(params)
         assert enum.total() == q ** params.dimension, (q, m, i)
         assert enum.min_positive_weight() == params.delta_i, (q, m, i)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bchforms import cli
+from bchforms import cli, schemes, weights
 from bchforms.bchcode import generator_polynomial
 from bchforms.cyclotomic import code_params, coset_leaders_geq
 from bchforms.schemes import FamilySpec, census_inner_distribution, dg_bound
@@ -196,28 +196,47 @@ def test_field_budget_before_work(capsys, monkeypatch, argv, worker):
     ("design-check", "--family", "S2", "-q", "9", "-m", "4", "-i", "2", "-t", "2"),
 ])
 def test_family_census_budget(capsys, monkeypatch, argv):
-    # 9^6 members: refused before any member is enumerated
-    enumerated = []
-    monkeypatch.setattr(cli, "census_inner_distribution", lambda spec: enumerated.append(spec))
-    monkeypatch.setattr(cli, "family_design_check", lambda spec, t: enumerated.append(spec))
+    # 9^6 members: refused before any member is enumerated, that is before
+    # enumerate_family builds the field
+    built = []
+    monkeypatch.setattr(schemes, "field_for", lambda *a: built.append(a))
     monkeypatch.setenv("BCHFORMS_BUDGET", "small")
     code, doc = run_cli(capsys, *argv)
     assert code == 1
     assert doc["error"] == "BudgetExceeded"
-    assert enumerated == []
+    assert built == []
 
 
 def test_verify_schemes_budget(capsys, monkeypatch):
-    # the same rule as inner-dist: GF(9^4) and 9^6 members exceed the small budget
-    from bchforms import verify
-
-    enumerated = []
-    monkeypatch.setattr(verify, "census_inner_distribution", lambda spec: enumerated.append(spec))
+    # the same rule as inner-dist: GF(9^4) and 9^6 members exceed the small
+    # budget, and the refusal is an error of the run, not a failed check
+    built = []
+    monkeypatch.setattr(schemes, "field_for", lambda *a: built.append(a))
     code, doc = run_cli(capsys, "verify", "schemes", "--q", "9", "--m", "4", "--i", "2", "--budget", "small")
     assert code == 1
     assert set(doc) == {"command", "error", "message"}
     assert doc["error"] == "BudgetExceeded"
-    assert enumerated == []
+    assert built == []
+
+
+@pytest.mark.parametrize("argv,env", [
+    (("enumerator", "-q", "4", "-m", "9", "-i", "4", "--mode", "closed", "--budget", "small"), None),
+    (("enumerator", "-q", "2", "-m", "15", "-i", "7", "--mode", "closed"), "small"),
+])
+def test_even_closed_enumerator_budget(capsys, monkeypatch, argv, env):
+    # the even-q certificate scans its family under the budget of every
+    # other family scan: GF(4^9) and GF(2^15) exceed the small field cap
+    classified = []
+    monkeypatch.setattr(weights, "classify_quadratic", lambda form: classified.append(form))
+    if env:
+        monkeypatch.setenv("BCHFORMS_BUDGET", env)
+    else:
+        monkeypatch.delenv("BCHFORMS_BUDGET", raising=False)
+    code, doc = run_cli(capsys, *argv)
+    assert code == 1
+    assert set(doc) == {"command", "error", "message"}
+    assert doc["error"] == "BudgetExceeded"
+    assert classified == []
 
 
 def test_package_has_no_assert():

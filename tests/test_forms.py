@@ -327,7 +327,7 @@ def test_family_enumerators_agree(q, m, i):
             for t in itertools.product(*oracle._member_logs(fld, i))]
     assert logs == lams
     kind = ("S" if q % 2 else "A") + ("1" if m % 2 else "2")
-    grams = [g.entries for g in schemes.enumerate_family(schemes.FamilySpec(kind, q, m, i), fld)]
+    grams = [g.entries for g in schemes.enumerate_family(schemes.FamilySpec(kind, q, m, i))]
     assert len(grams) == len(lams)
     for g, t in zip(grams, lams):
         assert np.array_equal(g, schemes._bilinear_gram(fld, i, t).entries)

@@ -120,10 +120,10 @@ def test_rank_type_census_examples():
     assert dist.total() == 32
     assert dist.min_nonzero_rank() == 4
     # ...while the quadratic members themselves all have rank 5, type 1
-    qdist = rank_type_census(2, 5, 2)
+    qdist = rank_type_census(FamilySpec("Q1", 2, 5, 2))
     assert qdist.entries == {(0, 0): 1, (5, 1): 31}
     # Q2(2,6,2) against A2 census: d_{2i,0} + d_{2i+1,1} + d_{2i,2} = b_{2i}
-    qd = rank_type_census(2, 6, 2)
+    qd = rank_type_census(FamilySpec("Q2", 2, 6, 2))
     ad = census_inner_distribution(FamilySpec("A2", 2, 6, 2))
     for rank in range(0, 7, 2):
         lhs = (

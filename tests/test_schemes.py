@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from bchforms import schemes, verify
-from bchforms.errors import ParityMismatch
+from bchforms.cyclotomic import code_params
+from bchforms.errors import BudgetExceeded, ParityMismatch
 from bchforms.forms import GramMatrix, classify_quadratic, family_domains, family_slots, iter_family
 from bchforms.gfarith import field_for
+from bchforms.oracle import rank_type_census
 from bchforms.schemes import (
+    EnumerationBudget,
     FamilySpec,
     census_inner_distribution,
     dg_bound,
@@ -21,6 +24,7 @@ from bchforms.schemes import (
     subspace_representatives,
     t_design_check,
 )
+from bchforms.weights import min_distance_even
 
 
 def test_family_spec_parity():
@@ -230,7 +234,7 @@ def test_bilinear_gram_matches_scalar_route():
     members = 0
     for spec in specs:
         fld = field_for(spec.q, spec.m)
-        for lams, gram in zip(itertools.product(*family_domains(fld, spec.i)), enumerate_family(spec, fld)):
+        for lams, gram in zip(itertools.product(*family_domains(fld, spec.i)), enumerate_family(spec)):
             ref = _scalar_bilinear_gram(fld, spec.i, lams)
             assert gram.entries.dtype == ref.entries.dtype and gram.kind == ref.kind
             assert gram.entries.tobytes() == ref.entries.tobytes(), (spec, lams)
@@ -265,3 +269,39 @@ def test_design_check_negative_control():
     corrupted += [g for g in members if not g.entries.any()]
     assert len(corrupted) == len(members) - 1
     assert not t_design_check(corrupted, 2, 3, 3)
+
+
+def test_member_cap_is_the_smaller_of_budget_and_scan_limit():
+    EnumerationBudget().check_members(1 << 20)
+    with pytest.raises(BudgetExceeded, match="family scan limit of 1048576"):
+        EnumerationBudget().check_members((1 << 20) + 1)
+    EnumerationBudget.parse("small").check_members(1 << 16)
+    with pytest.raises(BudgetExceeded, match="budget of 65536"):
+        EnumerationBudget.parse("small").check_members((1 << 16) + 1)
+
+
+SMALL = EnumerationBudget.parse("small")
+
+
+@pytest.mark.parametrize("scan", [
+    # GF(9^4) is over the small field cap
+    lambda: census_inner_distribution(FamilySpec("S2", 9, 4, 2), SMALL),
+    # GF(3^7) fits, 3^14 members do not
+    lambda: family_design_check(FamilySpec("S1", 3, 7, 4), 2, SMALL),
+    # GF(2^12) fits, 2^18 members do not
+    lambda: min_distance_even(code_params(2, 12, 6), SMALL),
+    lambda: census_inner_distribution(FamilySpec("A2", 2, 12, 6), SMALL),
+    lambda: rank_type_census(FamilySpec("A2", 2, 12, 6), SMALL),
+    # default budget: 4^12 = 2^24 members fit the codeword cap, not the scan limit
+    lambda: rank_type_census(FamilySpec("Q2", 4, 8, 4)),
+    # default budget: GF(2^22) is over the field cap
+    lambda: min_distance_even(code_params(2, 22, 10)),
+    lambda: enumerate_family(FamilySpec("Q2", 2, 22, 10)),
+])
+def test_family_scans_refuse_before_the_field(monkeypatch, scan):
+    built = []
+    monkeypatch.setattr(schemes, "field_for", lambda *a: built.append(a))
+    monkeypatch.delenv("BCHFORMS_BUDGET", raising=False)
+    with pytest.raises(BudgetExceeded):
+        scan()
+    assert built == []

@@ -125,7 +125,7 @@ def test_code_enumerator_odd_full_scale_consistency():
     # criterion-8 style: far beyond enumeration, closed form must still be
     # internally consistent (exact total, integrality, min key = delta_i)
     for q, m, i in [(5, 9, 4), (3, 11, 5), (7, 7, 3)]:
-        params = code_params(q, m, i, check_dimension=False)
+        params = code_params(q, m, i)
         enum = code_enumerator_odd(params)
         assert enum.total() == q ** params.dimension
         assert enum.min_positive_weight() == params.delta_i
