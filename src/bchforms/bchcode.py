@@ -15,8 +15,9 @@ import numpy as np
 from . import gfarith
 from .cyclotomic import CodeParams, bch_dimension, cyclotomic_coset
 from .errors import BchFormsError, CountMismatch, OutOfRange
-from .forms import TraceQuadraticForm, iter_family
+from .forms import TraceQuadraticForm
 from .gfarith import FieldContext, field_for
+from .schemes import FamilySpec, enumerate_family
 
 
 @dataclass
@@ -67,9 +68,9 @@ def minimal_polynomial(field: FieldContext, s: int) -> list[int]:
     return [int(c) for c in poly]
 
 
-def generator_polynomial(q: int, m: int, delta: int, field: FieldContext | None = None) -> CyclicCode:
+def generator_polynomial(q: int, m: int, delta: int) -> CyclicCode:
     """g = lcm(m_1, ..., m_{delta-1}) as the product over distinct cosets."""
-    fld = field or field_for(q, m)
+    fld = field_for(q, m)
     n = fld.n
     if not 2 <= delta <= n:
         raise OutOfRange(f"delta={delta} out of [2, q^m-1]")
@@ -83,10 +84,9 @@ def generator_polynomial(q: int, m: int, delta: int, field: FieldContext | None 
     return CyclicCode(field=fld, length=n, generator=g, dimension=dim)
 
 
-def trace_codeword(params: CodeParams, spec: TraceCodewordSpec,
-                   field: FieldContext | None = None) -> np.ndarray:
+def trace_codeword(params: CodeParams, spec: TraceCodewordSpec) -> np.ndarray:
     """The word (Tr(sum lambda_j x^(q^j+1) + mu x) + eps)_{x=alpha^t}."""
-    fld = field or field_for(params.q, params.m)
+    fld = field_for(params.q, params.m)
     form = TraceQuadraticForm(fld, params.i, spec.lambdas)
     word = form.value_vec()
     F = fld.base
@@ -99,9 +99,9 @@ def trace_codeword(params: CodeParams, spec: TraceCodewordSpec,
     return word
 
 
-def prm_code(q: int, m: int, field: FieldContext | None = None):
+def prm_code(q: int, m: int):
     """Yield ((mu, eps), word) over all q^(m+1) PRM codewords."""
-    fld = field or field_for(q, m)
+    fld = field_for(q, m)
     F = fld.base
     t = np.arange(fld.n)
     for mu in range(fld.size):
@@ -115,18 +115,19 @@ def prm_code(q: int, m: int, field: FieldContext | None = None):
             yield (mu, eps), word
 
 
-def coset_decomposition(params: CodeParams, field: FieldContext | None = None):
-    """Yield (form, words) per family member; words generates the whole
-    PRM coset of that representative as ((mu, eps), word) pairs."""
-    fld = field or field_for(params.q, params.m)
+def coset_decomposition(params: CodeParams):
+    """Yield (form, words) per member of schemes.enumerate_family (under
+    BCHFORMS_BUDGET); words generates the whole PRM coset of that
+    representative as ((mu, eps), word) pairs."""
+    members = enumerate_family(FamilySpec.quadratic(params.q, params.m, params.i))
+    F = field_for(params.q, params.m).base
 
     def coset_words(form: TraceQuadraticForm):
         qv = form.value_vec()
-        F = fld.base
-        for (mu, eps), prm_word in prm_code(params.q, params.m, fld):
+        for (mu, eps), prm_word in prm_code(params.q, params.m):
             yield (mu, eps), F.add[qv, prm_word].astype(np.int64)
 
-    for form in iter_family(fld, params.i):
+    for form in members:
         yield form, coset_words(form)
 
 

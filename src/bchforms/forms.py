@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -90,7 +89,6 @@ class GramMatrix:
     """``entries`` is a read-only int64 copy, so the cached row reduction stays valid."""
 
     entries: np.ndarray  # m x m of GF(q) element indices
-    kind: str            # "symmetric" | "alternating" | "coefficient"
     field_q: SmallField
 
     def __post_init__(self):
@@ -137,9 +135,6 @@ class TraceQuadraticForm:
     def field_q(self) -> SmallField:
         return self.field.base
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.lambdas)
-
     def value_vec(self) -> np.ndarray:
         """GF(q) values (Q(alpha^t))_{t=0..n-1}."""
         fld = self.field
@@ -184,9 +179,6 @@ class CoefficientForm:
     def q(self) -> int:
         return self.field_q.q
 
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
     def values_by_index(self) -> np.ndarray:
         """Values over all q^m points, index encoding sum(c_i q^i)."""
         if self._values is None:
@@ -226,10 +218,9 @@ def polarize(form) -> GramMatrix:
     odd = F.p != 2
     if odd:
         gram = F.mul[gram, F.half(1)]
-    kind = "symmetric" if odd else "alternating"
     if not odd and gram.diagonal().any():
         raise BchFormsError("even-q polarization must be alternating")  # internal bug
-    return GramMatrix(entries=gram, kind=kind, field_q=F)
+    return GramMatrix(entries=gram, field_q=F)
 
 
 def _row_reduce(M, F: SmallField) -> tuple[list[list[int]], list[int]]:
@@ -367,12 +358,6 @@ def count_solutions_closed(q: int, rt: RankType, h: int, m: int) -> int:
     if F.p == 2:
         return q ** (m - 1)
     return q ** (m - 1) + eps * F.quadratic_character(h) * q ** (m - (r + 1) // 2)
-
-
-def iter_family(field: FieldContext, i: int):
-    """All members of Q1(i)/Q2(i), lambda tuples in lexicographic element order."""
-    for lams in product(*family_domains(field, i)):
-        yield TraceQuadraticForm(field, i, lams)
 
 
 def absolute_trace_to_gf2(F: SmallField, x: int) -> int:

@@ -45,6 +45,13 @@ def use_numba() -> bool:
     return False
 
 
+def field_inputs(field):
+    """(trv2, pair, neg) of a FieldContext, as the coset kernels take them."""
+    F = field.base
+    return (np.concatenate([field.trace_vec, field.trace_vec]),
+            F.add.astype(np.int64).ravel(), F.neg.astype(np.int64))
+
+
 def eval_qvec(lam_logs, steps, trace_rows, pair, q, out):
     """Fill out[t] = Q(alpha^t) = sum_s trace_rows[s, (lam_logs[s] + t*steps[s]) mod n]
     summed in GF(q); lam_logs[s] = -1 marks a zero lambda."""

@@ -15,20 +15,19 @@ the trace vector is a linear m-sequence before it relies on this.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from itertools import islice, product
+from itertools import islice
 
 import numpy as np
 
 from . import kernels
 from .cyclotomic import CodeParams
 from .errors import CountMismatch, OutOfRange
-from .forms import CoefficientForm, family_domains, family_size, family_slots, polarize
+from .forms import CoefficientForm, family_slots, polarize
 from .gfarith import FieldContext, field_for, small_field
-from .schemes import EnumerationBudget, FamilySpec, InnerDistribution, _tally, enumerate_family
-from .weights import WeightEnumerator
+from .schemes import EnumerationBudget, FamilySpec, InnerDistribution, _tally, enumerate_family, family_lambdas
+from .weights import C_CLASSES_EVEN, C_CLASSES_ODD, WeightEnumerator
 
 # trace_route_weights starts its thread pool from this many entries gathered
 # per transform round, q^(m+2).  On 2 cores two threads ran 40%-2.5x slower
@@ -41,51 +40,44 @@ def default_workers() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
-def _member_logs(field: FieldContext, i: int) -> list[list[int]]:
-    """Per-slot lambda domains as discrete logs; log_index[0] = -1 marks zero."""
-    return [field.log_index[d].tolist() for d in family_domains(field, i)]
-
-
 def trace_route_weights(params: CodeParams, budget: EnumerationBudget | None = None,
                         workers: int | None = None) -> WeightEnumerator:
     """Weight distribution of the whole code by scanning every coset of
-    every family member (q^dimension words total)."""
+    every family member (q^dimension words total).  The members are the
+    lambda tuples of schemes.family_lambdas, under its budget."""
     budget = budget or EnumerationBudget.from_env()
     q, m = params.q, params.m
     budget.check_codewords(q ** params.dimension)
-    budget.check_field(q ** m)
+    spec = FamilySpec.quadratic(q, m, params.i)
+    members = family_lambdas(spec, budget)
     field = field_for(q, m)
     n = field.n
-    F = field.base
+    log = field.log_index.tolist()  # log[0] = -1 marks a zero lambda
     slots = family_slots(m, params.i)
-    log_domains = _member_logs(field, params.i)
     steps = np.array([(q ** s.j + 1) % n for s in slots], dtype=np.int64)
     trace_rows = np.stack([field.half_trace_vec if s.half else field.trace_vec for s in slots])
-    trv2 = np.concatenate([field.trace_vec, field.trace_vec])
-    pair = F.add.astype(np.int64).ravel()
-    neg = F.neg.astype(np.int64)
-    n_members = math.prod(len(d) for d in log_domains)
-    if n_members != family_size(q, m, params.i):
-        raise CountMismatch(f"{n_members} family members, expected {family_size(q, m, params.i)}")
+    trv2, pair, neg = kernels.field_inputs(field)
 
-    def scan(lo: int, hi: int) -> np.ndarray:
+    def scan(lambdas) -> np.ndarray:
         counts = np.zeros(n + 1, dtype=np.int64)
         qv = np.empty(n, dtype=np.int64)
-        for lam_logs in islice(product(*log_domains), lo, hi):
-            kernels.eval_qvec(lam_logs, steps, trace_rows, pair, q, qv)
+        for lams in lambdas:
+            kernels.eval_qvec([log[v] for v in lams], steps, trace_rows, pair, q, qv)
             kernels.coset_weight_counts(qv, trv2, pair, neg, counts)
         return counts
 
     # workers is a cap: threads share the GIL between transform rounds, so
     # a second thread pays only once one coset's transform is long
     w = workers if workers is not None else default_workers()
-    w = max(1, min(w, n_members)) if q ** (m + 2) >= POOL_MIN_TRANSFORM else 1
+    w = max(1, min(w, spec.size)) if q ** (m + 2) >= POOL_MIN_TRANSFORM else 1
     if w == 1:
-        counts = scan(0, n_members)
+        counts = scan(members)
     else:
-        bounds = [n_members * t // w for t in range(w + 1)]
+        # one iterator per thread: each worker slices its own member source
+        bounds = [spec.size * t // w for t in range(w + 1)]
         with ThreadPoolExecutor(max_workers=w) as pool:
-            parts = list(pool.map(lambda ab: scan(*ab), zip(bounds[:-1], bounds[1:])))
+            parts = list(pool.map(lambda ab: scan(islice(family_lambdas(spec, budget), *ab)),
+                                  zip(bounds[:-1], bounds[1:])))
         counts = np.sum(parts, axis=0)
     total = int(counts.sum())
     if total != q ** params.dimension:
@@ -150,8 +142,7 @@ def rank_type_census(spec: FamilySpec, budget: EnumerationBudget | None = None) 
     schemes.census_inner_distribution (bilinear parametrization), so the
     two never validate themselves.
     """
-    qspec = FamilySpec("Q" + spec.kind[1], spec.q, spec.m, spec.i)
-    members = enumerate_family(qspec, budget)
+    members = enumerate_family(FamilySpec.quadratic(spec.q, spec.m, spec.i), budget)
     if not spec.kind.startswith("Q"):
         members = (polarize(form) for form in members)
     return _tally(spec, members)
@@ -159,13 +150,9 @@ def rank_type_census(spec: FamilySpec, budget: EnumerationBudget | None = None) 
 
 def coset_weight_distribution(field: FieldContext, form) -> dict[int, int]:
     """Brute-force weight multiset of one PRM coset (q^(m+1) words)."""
-    F = field.base
     qv = form.value_vec() if hasattr(form, "value_vec") else form
-    trv2 = np.concatenate([field.trace_vec, field.trace_vec])
-    pair = F.add.astype(np.int64).ravel()
-    neg = F.neg.astype(np.int64)
     counts = np.zeros(field.n + 1, dtype=np.int64)
-    kernels.coset_weight_counts(np.asarray(qv, dtype=np.int64), trv2, pair, neg, counts)
+    kernels.coset_weight_counts(np.asarray(qv, dtype=np.int64), *kernels.field_inputs(field), counts)
     return {w: int(c) for w, c in enumerate(counts) if c}
 
 
@@ -173,22 +160,20 @@ def appendix_census(q: int, m: int, coeff_form: CoefficientForm, c_class: str,
                     budget: EnumerationBudget | None = None) -> dict[int, int]:
     """Frequencies of N(Q+L+c) over all q^m linear functions L, with c
     ranging over one square class (or summed over GF(q)*): N(Q+L+c) is
-    T[-c, L] of the Walsh table of Q, counted per c."""
+    T[-c, L] of the Walsh table of Q, counted per c.  c_class is one of
+    weights.C_CLASSES_ODD / C_CLASSES_EVEN for the parity of q."""
     budget = budget or EnumerationBudget.from_env()
     budget.check_field(q ** m)
     F = small_field(q)
-    if c_class == "zero":
-        cs = [0]
-    elif c_class == "square":
-        cs = [min(F.squares)]
+    classes = C_CLASSES_ODD if q % 2 else C_CLASSES_EVEN
+    if c_class not in classes:
+        raise OutOfRange(f"{'odd' if q % 2 else 'even'} q c_class must be one of {classes}")
+    if c_class == "nonzero-sum":
+        cs = list(range(1, q))
     elif c_class == "nonsquare":
         cs = [min(set(range(1, q)) - F.squares)]
-    elif c_class == "nonzero":
-        cs = [1]
-    elif c_class == "nonzero-sum":
-        cs = list(range(1, q))
     else:
-        raise OutOfRange(f"unknown c class {c_class}")
+        cs = [0 if c_class == "zero" else 1]  # 1 stands for "square" and "nonzero"
     T = kernels.walsh_table(coeff_form.values_by_index(), q, m)
     out: dict[int, int] = {}
     for c in cs:

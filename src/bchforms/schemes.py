@@ -26,13 +26,13 @@ from .errors import (
 )
 from .forms import (
     GramMatrix,
+    TraceQuadraticForm,
     bilinear_rank,
     classify_quadratic,
     classify_symmetric,
     family_domains,
     family_size,
     family_slots,
-    iter_family,
 )
 from .gfarith import FieldContext, eta_minus_one, field_for, prime_power, small_field
 
@@ -102,6 +102,11 @@ class FamilySpec:
         if self.kind.startswith("A") and self.q % 2 == 1:
             raise ParityMismatch("A families are defined for even q")
 
+    @staticmethod
+    def quadratic(q: int, m: int, i: int) -> "FamilySpec":
+        """Q1(i) for odd m, Q2(i) for even m: the coset representatives of the code (q, m, i)."""
+        return FamilySpec("Q1" if m % 2 else "Q2", q, m, i)
+
     @property
     def scheme_kind(self) -> str:
         return {"Q": "Qua", "S": "Sym", "A": "Alt"}[self.kind[0]]
@@ -164,28 +169,32 @@ def _bilinear_gram(field: FieldContext, i: int, lambdas: tuple[int, ...]) -> Gra
             terms = [(log_lam, q ** slot.j), (log_lam * q ** (m - slot.j), q ** (m - slot.j))]
         for log_coef, e in terms:
             gram = F.add[gram, field.trace_vec[(log_coef + ell[:, None] * (e % n) + ell[None, :]) % n]]
-    kind = "symmetric" if F.p != 2 else "alternating"
-    return GramMatrix(entries=gram, kind=kind, field_q=F)
+    return GramMatrix(entries=gram, field_q=F)
 
 
-def enumerate_family(spec: FamilySpec, budget: EnumerationBudget | None = None):
-    """Every member of the family exactly once: the one member source of
-    every family scan.
+def family_lambdas(spec: FamilySpec, budget: EnumerationBudget | None = None):
+    """The lambda tuple of every member of the family exactly once, in
+    lexicographic element order: the one member source of every family scan.
 
     The budget (BCHFORMS_BUDGET when None) is applied at call time, before
     the field is built: GF(q^m) against the field cap, then spec.size
-    against the member cap.  Q kinds give TraceQuadraticForm in lambda
-    order, S/A kinds GramMatrix from the bilinear-form parametrization
-    (independent of the polarization code path, so censuses of Q against
-    S/A are a real cross-check).
+    against the member cap.
     """
     budget = budget or EnumerationBudget.from_env()
     budget.check_field(spec.q ** spec.m)
     budget.check_members(spec.size)
+    return product(*family_domains(field_for(spec.q, spec.m), spec.i))
+
+
+def enumerate_family(spec: FamilySpec, budget: EnumerationBudget | None = None):
+    """The members of family_lambdas(spec, budget) as forms: Q kinds give
+    TraceQuadraticForm, S/A kinds GramMatrix from the bilinear-form
+    parametrization (independent of the polarization code path, so
+    censuses of Q against S/A are a real cross-check)."""
+    lambdas = family_lambdas(spec, budget)
     field = field_for(spec.q, spec.m)
-    if spec.kind.startswith("Q"):
-        return iter_family(field, spec.i)
-    return (_bilinear_gram(field, spec.i, lams) for lams in product(*family_domains(field, spec.i)))
+    member = TraceQuadraticForm if spec.kind.startswith("Q") else _bilinear_gram
+    return (member(field, spec.i, lams) for lams in lambdas)
 
 
 def _tally(spec: FamilySpec, members) -> InnerDistribution:

@@ -76,7 +76,7 @@ def verify_forms(q: int | None = None, budget: EnumerationBudget | None = None) 
             continue
         bad = 0
         n_forms = 0
-        for form in enumerate_family(FamilySpec("Q1" if m % 2 else "Q2", qq, m, i), budget):
+        for form in enumerate_family(FamilySpec.quadratic(qq, m, i), budget):
             rt = classify_quadratic(form)
             n_forms += 1
             if rt.rank == 0:
@@ -201,9 +201,11 @@ def verify_examples(budget: EnumerationBudget | None = None,
         out.append((f"min-distance-even ({q},{m},{i})", ok, f"d={d}"))
     # one generator-vs-trace route agreement
     params = cyc.code_params(2, 4, 1)
-    code = generator_polynomial(2, 4, params.delta_i)
-    ok = orc.generator_route_weights(code).counts == orc.trace_route_weights(params).counts
-    out.append(("route-agreement (2,4,1)", ok, ""))
+    if 2 ** params.dimension <= budget.max_codewords:
+        code = generator_polynomial(2, 4, params.delta_i)
+        ok = (orc.generator_route_weights(code, budget).counts
+              == orc.trace_route_weights(params, budget, workers).counts)
+        out.append(("route-agreement (2,4,1)", ok, ""))
     return out
 
 

@@ -153,12 +153,7 @@ def code_enumerator_odd(params: CodeParams) -> WeightEnumerator:
 def coset_words_weight_table(field: FieldContext, form: TraceQuadraticForm) -> np.ndarray:
     """Weights of all q^(m+1) words of the coset of Q; row 0 is mu = 0,
     row 1+k is mu = alpha^k, columns are epsilon."""
-    F = field.base
-    qv = form.value_vec()
-    trv2 = np.concatenate([field.trace_vec, field.trace_vec])
-    pair = F.add.astype(np.int64).ravel()
-    neg = F.neg.astype(np.int64)
-    return kernels.coset_weight_table(qv, trv2, pair, neg)
+    return kernels.coset_weight_table(form.value_vec(), *kernels.field_inputs(field))
 
 
 def min_distance_even(params: CodeParams, budget: EnumerationBudget | None = None):
@@ -176,7 +171,7 @@ def min_distance_even(params: CodeParams, budget: EnumerationBudget | None = Non
     target_rank2 = 2 * m - 2 * i - 2
     witness_form = None
     witness_rt = None
-    for form in enumerate_family(FamilySpec("Q1" if m % 2 else "Q2", q, m, i), budget):
+    for form in enumerate_family(FamilySpec.quadratic(q, m, i), budget):
         rt = classify_quadratic(form)
         if rt == RankType(target_rank2, 0):
             raise BchFormsError(
@@ -194,7 +189,7 @@ def min_distance_even(params: CodeParams, budget: EnumerationBudget | None = Non
         raise WitnessNotFound("witness coset contains no word of weight delta_i")
     row, eps = (int(v) for v in hits[0])
     mu = 0 if row == 0 else int(field.exp_index[row - 1])
-    word = trace_codeword(params, TraceCodewordSpec(witness_form.lambdas, mu, eps), field)
+    word = trace_codeword(params, TraceCodewordSpec(witness_form.lambdas, mu, eps))
     witness_word = int(np.count_nonzero(word))
     if witness_word != params.delta_i:
         raise CountMismatch("witness recount disagrees")  # internal bug

@@ -63,8 +63,7 @@ def test_prm_enumeration_gf8():
 
 
 def test_prm_nonzero_mu_weight():
-    fld = field_for(3, 2)
-    for (mu, eps), word in prm_code(3, 2, fld):
+    for (mu, eps), word in prm_code(3, 2):
         if mu != 0 and eps == 0:
             assert int(np.count_nonzero(word)) == 9 - 3
 
@@ -84,14 +83,14 @@ def test_trace_codewords_live_in_generator_code():
     for q, m, i in [(3, 3, 1), (2, 4, 1), (2, 4, 2)]:
         params = code_params(q, m, i)
         fld = field_for(q, m)
-        code = generator_polynomial(q, m, params.delta_i, fld)
+        code = generator_polynomial(q, m, params.delta_i)
         for _ in range(12):
             lambdas = []
             for s in family_slots(m, i):
                 opts = fld.half_subfield_elements() if s.half else list(range(fld.size))
                 lambdas.append(int(rng.choice(opts)))
             spec = TraceCodewordSpec(tuple(lambdas), int(rng.integers(fld.size)), int(rng.integers(q)))
-            word = trace_codeword(params, spec, fld)
+            word = trace_codeword(params, spec)
             assert word_in_code(word, code)
             assert word_in_code(cyclic_shift(word), code)
 
@@ -99,13 +98,12 @@ def test_trace_codewords_live_in_generator_code():
 def test_trace_codeword_weight_in_example_support():
     params = code_params(3, 3, 1)
     rng = np.random.default_rng(11)
-    fld = field_for(3, 3)
     support = {0, 14, 15, 17, 18, 20, 21, 26}
     for _ in range(30):
         spec = TraceCodewordSpec(
             (int(rng.integers(27)),), int(rng.integers(27)), int(rng.integers(3))
         )
-        w = int(np.count_nonzero(trace_codeword(params, spec, fld)))
+        w = int(np.count_nonzero(trace_codeword(params, spec)))
         assert w in support
 
 
@@ -114,11 +112,10 @@ def test_trace_and_generator_routes_same_code():
     # code, and the counts match the dimension, so the codes coincide; the
     # cyclic shift of every single word stays a member too
     params = code_params(2, 4, 1)
-    fld = field_for(2, 4)
-    code = generator_polynomial(2, 4, params.delta_i, fld)
+    code = generator_polynomial(2, 4, params.delta_i)
     assert code.dimension == params.dimension
     seen = set()
-    for form, words in coset_decomposition(params, fld):
+    for form, words in coset_decomposition(params):
         for (_mu, _eps), word in words:
             seen.add(word.tobytes())
             assert word_in_code(word, code)
@@ -128,8 +125,7 @@ def test_trace_and_generator_routes_same_code():
 
 def test_coset_decomposition_structure():
     params = code_params(3, 3, 1)
-    fld = field_for(3, 3)
-    cosets = list(coset_decomposition(params, fld))
+    cosets = list(coset_decomposition(params))
     assert len(cosets) == family_size(3, 3, 1) == 27
     all_words = set()
     for form, words in cosets:

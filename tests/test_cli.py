@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bchforms import cli, schemes, weights
+from bchforms import cli, kernels, oracle, schemes, weights
 from bchforms.bchcode import generator_polynomial
 from bchforms.cyclotomic import code_params, coset_leaders_geq
 from bchforms.schemes import FamilySpec, census_inner_distribution, dg_bound
@@ -237,6 +237,54 @@ def test_even_closed_enumerator_budget(capsys, monkeypatch, argv, env):
     assert set(doc) == {"command", "error", "message"}
     assert doc["error"] == "BudgetExceeded"
     assert classified == []
+
+
+def test_enumerator_oracle_member_cap(capsys, monkeypatch):
+    # 2^36 codewords fit this budget, but the 2^21 cosets exceed the family
+    # scan limit: the trace route refuses before its first kernel call
+    def no_kernel(*args):
+        raise RuntimeError("eval_qvec reached")
+
+    monkeypatch.setattr(kernels, "eval_qvec", no_kernel)
+    code, doc = run_cli(capsys, "enumerator", "-q", "2", "-m", "14", "-i", "7",
+                        "--mode", "oracle", "--budget", "68719476736")
+    assert code == 1
+    assert set(doc) == {"command", "error", "message"}
+    assert doc["error"] == "BudgetExceeded"
+    assert "family scan limit" in doc["message"]
+
+
+@pytest.mark.parametrize("budget,runs", [("100", False), ("small", True)])
+def test_verify_examples_budget(capsys, monkeypatch, budget, runs):
+    # the route agreement enumerates the 2^7 codewords of (2,4,1) by both
+    # routes, so, like every other example, it runs only if they fit
+    calls = []
+    for name in ("trace_route_weights", "generator_route_weights"):
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    code, doc = run_cli(capsys, "verify", "examples", "--budget", budget)
+    assert code == 0
+    assert doc["payload"]["failed"] == 0
+    names = [c["name"] for c in doc["payload"]["checks"]]
+    assert ("route-agreement (2,4,1)" in names) == runs
+    assert ("generator_route_weights" in calls) == runs
+    assert bool(calls) == runs
+
+
+def test_family_domains_has_one_reader():
+    # schemes.family_lambdas is the one member source of every family scan:
+    # an enumeration that changes what a scan visits edits that function,
+    # and no scan grows its own lambda product
+    readers = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name == "family_domains":
+                owners = [f for f in defs if f.lineno <= node.lineno <= f.end_lineno]
+                readers.append((path.stem, max(owners, key=lambda f: f.lineno).name if owners else None))
+    assert readers == [("schemes", "family_lambdas")]
 
 
 def test_package_has_no_assert():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bchforms import forms, oracle, schemes
+from bchforms import forms, schemes
 from bchforms.errors import ArityMismatch, EvenCharacteristic, InvalidSubfield, OutOfRange, RankZero
 from bchforms.forms import (
     CoefficientForm,
@@ -18,7 +18,6 @@ from bchforms.forms import (
     count_solutions_closed,
     family_size,
     family_slots,
-    iter_family,
     polarize,
 )
 from bchforms.gfarith import digits, digitwise, field_for, small_field
@@ -41,8 +40,7 @@ def test_family_slots_and_sizes():
     assert [(s.j, s.half) for s in family_slots(6, 2)] == [(3, True)]
     assert [(s.j, s.half) for s in family_slots(6, 3)] == [(3, True), (4, False)]
     for q, m, i in SMALL_FAMILIES:
-        fld = field_for(q, m)
-        n_members = sum(1 for _ in iter_family(fld, i))
+        n_members = sum(1 for _ in schemes.enumerate_family(schemes.FamilySpec.quadratic(q, m, i)))
         assert n_members == family_size(q, m, i), (q, m, i)
 
 
@@ -60,7 +58,7 @@ def test_scaling_invariant_sampled():
     for q, m, i in [(3, 3, 1), (4, 3, 1), (5, 2, 1)]:
         fld = field_for(q, m)
         F = fld.base
-        for form in list(iter_family(fld, i))[:8]:
+        for form in list(schemes.enumerate_family(schemes.FamilySpec.quadratic(q, m, i)))[:8]:
             vals = form.values_by_index()
             for c in range(1, q):
                 c2 = F.mul_el(c, c)
@@ -74,7 +72,6 @@ def test_polarize_zero_and_coefficient_examples():
     assert not polarize(z).entries.any()
     # Q = x1^2 -> gram diag(1,0,0)
     g = polarize(coefficient_form(3, 3, {(0, 0): 1}))
-    assert g.kind == "symmetric"
     assert np.array_equal(g.entries, np.diag([1, 0, 0]))
 
 
@@ -114,21 +111,21 @@ def test_bilinear_rank_examples():
 
 def test_classify_symmetric_examples():
     F3 = small_field(3)
-    g = forms.GramMatrix(np.diag([1, 1, 0]).astype(np.int64), "symmetric", F3)
+    g = forms.GramMatrix(np.diag([1, 1, 0]).astype(np.int64), F3)
     assert classify_symmetric(g) == RankType(2, 1)
-    g = forms.GramMatrix(np.diag([1, 2, 0]).astype(np.int64), "symmetric", F3)
+    g = forms.GramMatrix(np.diag([1, 2, 0]).astype(np.int64), F3)
     assert classify_symmetric(g) == RankType(2, -1)
-    g = forms.GramMatrix(np.zeros((3, 3), dtype=np.int64), "symmetric", F3)
+    g = forms.GramMatrix(np.zeros((3, 3), dtype=np.int64), F3)
     assert classify_symmetric(g) == RankType(0, 1)
     with pytest.raises(EvenCharacteristic):
-        classify_symmetric(forms.GramMatrix(np.zeros((2, 2), dtype=np.int64), "symmetric", small_field(2)))
+        classify_symmetric(forms.GramMatrix(np.zeros((2, 2), dtype=np.int64), small_field(2)))
 
 
 def test_classify_symmetric_offdiagonal_pivot():
     # hyperbolic plane [[0,1],[1,0]] over GF(3): rank 2, disc -1 -> type eta(-1) = -1
     F3 = small_field(3)
     A = np.array([[0, 1], [1, 0]], dtype=np.int64)
-    assert classify_symmetric(forms.GramMatrix(A, "symmetric", F3)) == RankType(2, -1)
+    assert classify_symmetric(forms.GramMatrix(A, F3)) == RankType(2, -1)
 
 
 def test_classify_quadratic_even_examples():
@@ -204,8 +201,7 @@ def test_classification_against_exhaustive_counts():
     counts vs exhaustive zero counts for every h. Validates classification and
     the count formulas together."""
     for q, m, i in SMALL_FAMILIES:
-        fld = field_for(q, m)
-        for form in iter_family(fld, i):
+        for form in schemes.enumerate_family(schemes.FamilySpec.quadratic(q, m, i)):
             rt = classify_quadratic(form)
             assert rt.rank == _rank_by_definition(form), (q, m, i, form.lambdas)
             vals = form.values_by_index()
@@ -221,8 +217,7 @@ def test_classification_basis_invariance():
     rng = np.random.default_rng(20240817)
     cases = []
     for q, m, i in [(3, 3, 1), (2, 5, 2), (4, 2, 1), (5, 2, 1)]:
-        fld = field_for(q, m)
-        members = list(iter_family(fld, i))
+        members = list(schemes.enumerate_family(schemes.FamilySpec.quadratic(q, m, i)))
         cases.extend((q, m, f) for f in members[1 : len(members) : max(1, len(members) // 4)])
     for q, m, form in cases:
         F = small_field(q)
@@ -287,7 +282,7 @@ def _span_size(F, vectors):
 def _check_rank_and_radical(F, B):
     m = B.shape[0]
     rank = bilinear_rank(B, F)
-    rad = forms.radical_basis(forms.GramMatrix(B, "coefficient", F))
+    rad = forms.radical_basis(forms.GramMatrix(B, F))
     assert rank + len(rad) == m
     for v in rad:
         assert _matvec(F, B, v) == [0] * m
@@ -298,7 +293,7 @@ def _check_rank_and_radical(F, B):
 def test_row_reduction_rank_plus_radical():
     for q, m, i in FORM_FAMILIES:
         F = small_field(q)
-        for form in iter_family(field_for(q, m), i):
+        for form in schemes.enumerate_family(schemes.FamilySpec.quadratic(q, m, i)):
             _check_rank_and_radical(F, polarize(form).entries)
     rng = np.random.default_rng(20261018)
     for q in (2, 3, 4, 5):
@@ -320,13 +315,15 @@ def test_row_reduction_rank_plus_radical():
 
 @pytest.mark.parametrize("q,m,i", [(2, 6, 3), (3, 4, 2), (4, 3, 1)])
 def test_family_enumerators_agree(q, m, i):
+    # family_lambdas is the one member source: distinct tuples in
+    # lexicographic order, carried by the Q members, Gram'd by the S/A ones
     fld = field_for(q, m)
-    lams = [form.lambdas for form in iter_family(fld, i)]
+    qspec = schemes.FamilySpec.quadratic(q, m, i)
+    lams = list(schemes.family_lambdas(qspec))
     assert len(lams) == family_size(q, m, i)
-    logs = [tuple(0 if l < 0 else int(fld.exp_index[l]) for l in t)
-            for t in itertools.product(*oracle._member_logs(fld, i))]
-    assert logs == lams
-    kind = ("S" if q % 2 else "A") + ("1" if m % 2 else "2")
+    assert lams == sorted(set(lams))
+    assert [form.lambdas for form in schemes.enumerate_family(qspec)] == lams
+    kind = ("S" if q % 2 else "A") + qspec.kind[1]
     grams = [g.entries for g in schemes.enumerate_family(schemes.FamilySpec(kind, q, m, i))]
     assert len(grams) == len(lams)
     for g, t in zip(grams, lams):
@@ -410,12 +407,12 @@ def _polarize_ref(form):
             if odd:
                 s = F.half(s)
             gram[a, b] = gram[b, a] = s
-    return gram, "symmetric" if odd else "alternating"
+    return gram
 
 
 def _classify_quadratic_ref(form):
     F, q, m = form.field_q, form.q, form.m
-    gram, _ = _polarize_ref(form)
+    gram = _polarize_ref(form)
     if F.p != 2:
         return _classify_symmetric_ref(gram, F)
     A, pivots = _row_reduce_ref(gram, F)
@@ -468,7 +465,7 @@ def _reference_forms():
     """Every member of the verify-suite Q families, and every canonical form
     and random coefficient forms for each q of REFERENCE_QS."""
     for q, m, i in FORM_FAMILIES + [(2, 6, 3), (3, 4, 2)]:
-        yield from iter_family(field_for(q, m), i)
+        yield from schemes.enumerate_family(schemes.FamilySpec.quadratic(q, m, i))
     rng = np.random.default_rng(7)
     for q in REFERENCE_QS:
         for m in (1, 2, 3, 4):
@@ -486,8 +483,7 @@ def test_polarize_and_values_match_reference():
             vals = form.values_by_index()
             assert vals.dtype == ref.dtype and vals.tobytes() == ref.tobytes()
         gram = polarize(form)
-        ref_entries, ref_kind = _polarize_ref(form)
-        assert gram.kind == ref_kind
+        ref_entries = _polarize_ref(form)
         assert gram.entries.dtype == ref_entries.dtype
         assert gram.entries.tobytes() == ref_entries.tobytes(), form
 
@@ -517,7 +513,7 @@ def test_classification_matches_reference(kind, q, m, i):
 def test_gram_entries_are_a_read_only_copy():
     F3 = small_field(3)
     raw = np.diag([1, 1, 0]).astype(np.int64)
-    g = forms.GramMatrix(raw, "symmetric", F3)
+    g = forms.GramMatrix(raw, F3)
     assert bilinear_rank(g) == 2
     raw[2, 2] = 1  # the caller's array is not the Gram's
     assert g.entries[2, 2] == 0 and bilinear_rank(g) == 2

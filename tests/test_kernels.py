@@ -3,7 +3,7 @@ import pytest
 
 from bchforms import kernels
 from bchforms.errors import NotAnMSequence
-from bchforms.forms import iter_family
+from bchforms.schemes import FamilySpec, enumerate_family
 from bchforms.gfarith import field_for, small_field
 
 
@@ -87,7 +87,7 @@ def test_transform_matches_shift_scan(q, m):
 def test_transform_matches_shift_scan_every_member(q, m, i):
     fld, trv2, pair, neg = field_tables(q, m)
     members = 0
-    for form in iter_family(fld, i):
+    for form in enumerate_family(FamilySpec.quadratic(q, m, i)):
         qv = form.value_vec()
         ref = shift_scan_table(qv, trv2, pair, neg)
         assert np.array_equal(kernels.coset_weight_table(qv, trv2, pair, neg), ref), form.lambdas

@@ -46,6 +46,26 @@ def test_budget_refusal():
         trace_route_weights(params, EnumerationBudget(max_codewords=100))
 
 
+def test_trace_route_member_cap_before_work(monkeypatch):
+    # (2,14,7) fits a 2^36 codeword budget, but its 2^21 members exceed the
+    # family scan limit of schemes.family_lambdas, which refuses before the
+    # field is built or a coset is scanned
+    from bchforms import schemes
+
+    params = code_params(2, 14, 7)
+    built = []
+
+    def no_kernel(*args):
+        raise RuntimeError("eval_qvec reached")
+
+    monkeypatch.setattr(kernels, "eval_qvec", no_kernel)
+    monkeypatch.setattr(schemes, "field_for", lambda *a: built.append(a))
+    monkeypatch.setattr(oracle, "field_for", lambda *a: built.append(a))
+    with pytest.raises(BudgetExceeded, match="family scan limit"):
+        trace_route_weights(params, EnumerationBudget(max_codewords=1 << 36))
+    assert built == []
+
+
 def test_trace_route_331_matches_closed_form():
     params = code_params(3, 3, 1)
     dist = trace_route_weights(params)
@@ -55,8 +75,7 @@ def test_trace_route_331_matches_closed_form():
 def test_routes_agree_desk_scale():
     for q, m, i in [(3, 3, 1), (2, 4, 1), (2, 4, 2), (2, 6, 2), (4, 2, 1)]:
         params = code_params(q, m, i)
-        fld = field_for(q, m)
-        code = generator_polynomial(q, m, params.delta_i, fld)
+        code = generator_polynomial(q, m, params.delta_i)
         trace = trace_route_weights(params)
         gen = generator_route_weights(code)
         assert trace.counts == gen.counts, (q, m, i)
@@ -189,6 +208,22 @@ def test_appendix_census_matches_matrix_route():
                     cases += 1
             m += 1
     assert cases == 671
+
+
+def test_appendix_census_takes_the_c_classes_of_its_parity():
+    # exactly the classes appendix_frequency_tables answers for; any other
+    # is a typed refusal (even q has no nonsquare, odd q no single "nonzero")
+    for q in (2, 3, 4, 5):
+        classes = C_CLASSES_ODD if q % 2 else C_CLASSES_EVEN
+        rt = RankType(2, 1 if q % 2 else 0)
+        form = canonical_form(q, 3, rt)
+        for c_class in sorted(set(C_CLASSES_ODD + C_CLASSES_EVEN + ("bogus",))):
+            if c_class in classes:
+                counted = oracle.appendix_census(q, 3, form, c_class)
+                assert counted == appendix_frequency_tables(q, 3, rt, c_class), (q, c_class)
+            else:
+                with pytest.raises(OutOfRange):
+                    oracle.appendix_census(q, 3, form, c_class)
 
 
 def test_appendix_census_memory():

@@ -1,4 +1,3 @@
-import itertools
 
 import numpy as np
 import pytest
@@ -6,7 +5,7 @@ import pytest
 from bchforms import schemes, verify
 from bchforms.cyclotomic import code_params
 from bchforms.errors import BudgetExceeded, ParityMismatch
-from bchforms.forms import GramMatrix, classify_quadratic, family_domains, family_slots, iter_family
+from bchforms.forms import GramMatrix, classify_quadratic, family_slots
 from bchforms.gfarith import field_for
 from bchforms.oracle import rank_type_census
 from bchforms.schemes import (
@@ -16,6 +15,7 @@ from bchforms.schemes import (
     dg_bound,
     enumerate_family,
     family_design_check,
+    family_lambdas,
     is_d_code,
     is_proper_d_code,
     qsq_binomial,
@@ -193,7 +193,7 @@ def test_bilinear_gram_halved_is_polarization():
 
     fld = field_for(3, 3)
     for lam in (1, fld.alpha, 7):
-        form = next(f for f in iter_family(fld, 1) if f.lambdas == (lam,))
+        form = next(f for f in enumerate_family(FamilySpec("Q1", 3, 3, 1)) if f.lambdas == (lam,))
         half = fld.base.inv_el(fld.base.add_el(1, 1))
         g1 = schemes._bilinear_gram(fld, 1, (fld.mul(half, lam),)).entries
         g2 = polarize(form).entries
@@ -221,7 +221,7 @@ def _scalar_bilinear_gram(field, i, lambdas):
     for a in range(m):
         for b in range(m):
             gram[a, b] = field.trace_to_base(field.mul(images[a], basis[b]))
-    return GramMatrix(entries=gram, kind="symmetric" if field.p != 2 else "alternating", field_q=field.base)
+    return GramMatrix(entries=gram, field_q=field.base)
 
 
 def test_bilinear_gram_matches_scalar_route():
@@ -234,9 +234,9 @@ def test_bilinear_gram_matches_scalar_route():
     members = 0
     for spec in specs:
         fld = field_for(spec.q, spec.m)
-        for lams, gram in zip(itertools.product(*family_domains(fld, spec.i)), enumerate_family(spec)):
+        for lams, gram in zip(family_lambdas(spec), enumerate_family(spec)):
             ref = _scalar_bilinear_gram(fld, spec.i, lams)
-            assert gram.entries.dtype == ref.entries.dtype and gram.kind == ref.kind
+            assert gram.entries.dtype == ref.entries.dtype
             assert gram.entries.tobytes() == ref.entries.tobytes(), (spec, lams)
             members += 1
     assert members == sum(s.size for s in specs) == 1531

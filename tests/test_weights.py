@@ -4,8 +4,9 @@ import pytest
 from bchforms import oracle, weights
 from bchforms.cyclotomic import code_params
 from bchforms.errors import EvenCharacteristic, OutOfRange, RankZero
-from bchforms.forms import RankType, all_rank_types, canonical_form, classify_quadratic, iter_family
+from bchforms.forms import RankType, all_rank_types, canonical_form, classify_quadratic
 from bchforms.gfarith import field_for
+from bchforms.schemes import FamilySpec, enumerate_family
 from bchforms.weights import (
     appendix_frequency_tables,
     code_enumerator_odd,
@@ -95,7 +96,7 @@ def test_coset_enumerators_match_bruteforce_over_families():
     for q, m, i in cases:
         fld = field_for(q, m)
         seen = set()
-        for form in iter_family(fld, i):
+        for form in enumerate_family(FamilySpec.quadratic(q, m, i)):
             rt = classify_quadratic(form)
             if rt.rank == 0 or rt in seen:
                 continue
