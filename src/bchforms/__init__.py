@@ -24,7 +24,7 @@ from .forms import (
     polarize,
 )
 from .gfarith import FieldContext, SmallField, build_field, field_for, small_field
-from .oracle import EnumerationBudget, enumerate_code_weights, oracle_min_distance, rank_type_census
+from .oracle import EnumerationBudget, enumerate_code_weights, rank_type_census
 from .schemes import (
     FamilySpec,
     InnerDistribution,
@@ -82,7 +82,6 @@ __all__ = [
     "is_d_code",
     "is_proper_d_code",
     "min_distance_even",
-    "oracle_min_distance",
     "polarize",
     "prm_enumerator",
     "q_adic",

@@ -117,7 +117,7 @@ def prm_code(q: int, m: int):
 
 def coset_decomposition(params: CodeParams):
     """Yield (form, words) per member of schemes.enumerate_family (under
-    BCHFORMS_BUDGET); words generates the whole PRM coset of that
+    schemes.DEFAULT_BUDGET); words generates the whole PRM coset of that
     representative as ((mu, eps), word) pairs."""
     members = enumerate_family(FamilySpec.quadratic(params.q, params.m, params.i))
     F = field_for(params.q, params.m).base

@@ -33,19 +33,14 @@ class CommandMismatch(Exception):
         self.payload = payload
 
 
-def _budget(args) -> EnumerationBudget:
-    raw = getattr(args, "budget", None)
-    return EnumerationBudget.parse(raw) if raw else EnumerationBudget.from_env()
-
-
-def _check_field(q: int, m: int) -> None:
+def _check_field(q: int, m: int, budget: EnumerationBudget) -> None:
     """Refuse GF(q^m) above the field budget before any work is done."""
     if m < 1:
         raise OutOfRange(f"m={m} must be >= 1")
-    EnumerationBudget.from_env().check_field(q ** m)
+    budget.check_field(q ** m)
 
 
-def cmd_params(args):
+def cmd_params(args, budget):
     p = cyc.code_params(args.q, args.m, args.i)
     return {
         "q": p.q, "m": p.m, "i": p.i, "length": p.length,
@@ -54,21 +49,20 @@ def cmd_params(args):
     }
 
 
-def cmd_coset_leaders(args):
-    _check_field(args.q, args.m)
+def cmd_coset_leaders(args, budget):
+    _check_field(args.q, args.m, budget)
     leaders = cyc.coset_leaders_geq(args.threshold, args.q, args.m)
     return {"threshold": args.threshold, "leaders": leaders}
 
 
-def cmd_genpoly(args):
-    _check_field(args.q, args.m)
+def cmd_genpoly(args, budget):
+    _check_field(args.q, args.m, budget)
     code = generator_polynomial(args.q, args.m, args.delta)
     return code.to_json()
 
 
-def cmd_enumerator(args):
+def cmd_enumerator(args, budget):
     params = cyc.code_params(args.q, args.m, args.i)
-    budget = _budget(args)
     payload: dict = {"delta_i": params.delta_i, "dimension": params.dimension}
     odd = args.q % 2 == 1
     if args.mode in ("closed", "both"):
@@ -98,9 +92,9 @@ def _parse_lambdas(raw: str) -> tuple[int, ...]:
         raise OutOfRange(f"--lambdas {raw!r} is not a comma-separated list of integers") from None
 
 
-def cmd_classify_form(args):
+def cmd_classify_form(args, budget):
     lambdas = _parse_lambdas(args.lambdas)
-    _check_field(args.q, args.m)
+    _check_field(args.q, args.m, budget)
     form = TraceQuadraticForm(field_for(args.q, args.m), args.i, lambdas)
     rt = classify_quadratic(form)
     return {
@@ -111,11 +105,11 @@ def cmd_classify_form(args):
     }
 
 
-def cmd_inner_dist(args):
+def cmd_inner_dist(args, budget):
     spec = FamilySpec(args.family, args.q, args.m, args.i)
     payload: dict = {"family": args.family, "size": spec.size}
     if args.method in ("census", "both"):
-        payload["census"] = census_inner_distribution(spec).to_json()
+        payload["census"] = census_inner_distribution(spec, budget).to_json()
     if args.method in ("closed", "both"):
         payload["closed"] = schmidt_for_family(spec).to_json()
     if args.method == "both":
@@ -125,23 +119,23 @@ def cmd_inner_dist(args):
     return payload
 
 
-def cmd_dg_bound(args):
+def cmd_dg_bound(args, budget):
     return {"n": args.n, "d": args.d, "q": args.q, "bound": str(dg_bound(args.n, args.d, args.q))}
 
 
-def cmd_design_check(args):
+def cmd_design_check(args, budget):
     spec = FamilySpec(args.family, args.q, args.m, args.i)
-    return {"family": args.family, "t": args.t, "is_design": family_design_check(spec, args.t)}
+    return {"family": args.family, "t": args.t, "is_design": family_design_check(spec, args.t, budget)}
 
 
-def cmd_appendix_table(args):
+def cmd_appendix_table(args, budget):
     rt = RankType(args.rank, args.type)
     closed = wts.appendix_frequency_tables(args.q, args.m, rt, args.c_class)
     payload = {"closed": {str(k): str(v) for k, v in sorted(closed.items())}}
     if not args.no_oracle:
         from .forms import canonical_form
 
-        counted = orc.appendix_census(args.q, args.m, canonical_form(args.q, args.m, rt), args.c_class)
+        counted = orc.appendix_census(args.q, args.m, canonical_form(args.q, args.m, rt), args.c_class, budget)
         payload["oracle"] = {str(k): str(v) for k, v in sorted(counted.items())}
         payload["match"] = closed == counted
         if not payload["match"]:
@@ -149,11 +143,11 @@ def cmd_appendix_table(args):
     return payload
 
 
-def cmd_verify(args):
+def cmd_verify(args, budget):
     checks = run_suite(
         args.suite,
         q=args.q, m=args.m, i=args.i, max_m=args.max_m,
-        budget=_budget(args), workers=args.workers,
+        budget=budget, workers=args.workers,
     )
     payload = {
         "suite": args.suite,
@@ -255,7 +249,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     t0 = time.time()
     try:
-        payload = args.func(args)
+        # the one reader of BCHFORMS_BUDGET, which --budget overrides; the
+        # budget goes to every library scan, and params and dg-bound scan nothing
+        if args.func in (cmd_params, cmd_dg_bound):
+            budget = None
+        elif getattr(args, "budget", None):
+            budget = EnumerationBudget.parse(args.budget)
+        else:
+            budget = EnumerationBudget.from_env()
+        payload = args.func(args, budget)
     except CommandMismatch as exc:
         _emit(args.command, vars(args), exc.payload, t0=t0)
         return 2

@@ -136,19 +136,27 @@ def theorem_i_range(q: int, m: int) -> range:
     return range(lo, hi + 1)
 
 
+def least_m(q: int) -> int:
+    """The least m of the main theorem for q: 3 for q = 2, 2 for q = 3, else 1."""
+    return {2: 3, 3: 2}.get(q, 1)
+
+
+def closed_dimension(m: int, i: int) -> int:
+    """The main theorem's dimension of C_(q,m,delta_i): (i-(m-5)/2)m+1."""
+    return m * (2 * i - m + 5) // 2 + 1
+
+
 def _check_qm(q: int, m: int) -> None:
     prime_power(q)
-    min_m = {2: 3, 3: 2}.get(q, 1)
-    if m < min_m:
-        raise IndexOutOfTheoremRange(f"q={q} needs m >= {min_m}")
+    if m < least_m(q):
+        raise IndexOutOfTheoremRange(f"q={q} needs m >= {least_m(q)}")
 
 
 def code_params(q: int, m: int, i: int) -> CodeParams:
     """Parameters of C_(q,m,delta_i) for i in the main-theorem range.
 
-    The dimension comes from the closed form (i-(m-5)/2)m+1; when q^m is
-    small enough to enumerate cosets, it is verified against the
-    coset-size summation.
+    The dimension comes from closed_dimension; when q^m is small enough to
+    enumerate cosets, it is verified against the coset-size summation.
     """
     _check_qm(q, m)
     rng = theorem_i_range(q, m)
@@ -158,7 +166,7 @@ def code_params(q: int, m: int, i: int) -> CodeParams:
     delta_i = delta - q ** i
     if delta_i < 2:
         raise DegenerateCode(f"delta_i={delta_i} < 2 for (q,m,i)=({q},{m},{i})")
-    dimension = m * (2 * i - m + 5) // 2 + 1
+    dimension = closed_dimension(m, i)
     if q ** m <= 1 << 20:
         by_cosets = bch_dimension(q, m, delta_i)
         if by_cosets != dimension:
@@ -175,22 +183,18 @@ def theorem_sweep(qs=(2, 3, 4, 5), max_codewords: int = 1 << 24) -> list[CodePar
     """Every valid (q,m,i) of the main theorem with q^dimension within budget."""
     out = []
     for q in qs:
-        min_m = {2: 3, 3: 2}.get(q, 1)
         over = 0
-        for m in range(min_m, 200):
+        for m in range(least_m(q), 200):
             # dimension at the smallest admissible i grows linearly in m
             # within each parity class, so two consecutive overruns end the scan
-            i_min = theorem_i_range(q, m).start
-            dim_min = m * (2 * i_min - m + 5) // 2 + 1
-            if q ** dim_min > max_codewords:
+            if q ** closed_dimension(m, theorem_i_range(q, m).start) > max_codewords:
                 over += 1
                 if over >= 2:
                     break
                 continue
             over = 0
             for i in theorem_i_range(q, m):
-                dim = m * (2 * i - m + 5) // 2 + 1
-                if q ** dim > max_codewords:
+                if q ** closed_dimension(m, i) > max_codewords:
                     continue
                 try:
                     out.append(code_params(q, m, i))

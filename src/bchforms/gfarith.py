@@ -302,14 +302,6 @@ def small_field(q: int) -> SmallField:
     return SmallField(*prime_power(q))
 
 
-def quadratic_character(q: int, a: int) -> int:
-    return small_field(q).quadratic_character(a)
-
-
-def upsilon(q: int, a: int) -> int:
-    return small_field(q).upsilon(a)
-
-
 def eta_minus_one(q: int) -> int:
     """eta(-1) for odd q."""
     F = small_field(q)

@@ -23,11 +23,19 @@ import numpy as np
 
 from . import kernels
 from .cyclotomic import CodeParams
-from .errors import CountMismatch, OutOfRange
+from .errors import CountMismatch
 from .forms import CoefficientForm, family_slots, polarize
 from .gfarith import FieldContext, field_for, small_field
-from .schemes import EnumerationBudget, FamilySpec, InnerDistribution, _tally, enumerate_family, family_lambdas
-from .weights import C_CLASSES_EVEN, C_CLASSES_ODD, WeightEnumerator
+from .schemes import (
+    DEFAULT_BUDGET,
+    EnumerationBudget,
+    FamilySpec,
+    InnerDistribution,
+    _tally,
+    enumerate_family,
+    family_lambdas,
+)
+from .weights import WeightEnumerator, check_c_class
 
 # trace_route_weights starts its thread pool from this many entries gathered
 # per transform round, q^(m+2).  On 2 cores two threads ran 40%-2.5x slower
@@ -40,12 +48,11 @@ def default_workers() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
-def trace_route_weights(params: CodeParams, budget: EnumerationBudget | None = None,
+def trace_route_weights(params: CodeParams, budget: EnumerationBudget = DEFAULT_BUDGET,
                         workers: int | None = None) -> WeightEnumerator:
     """Weight distribution of the whole code by scanning every coset of
     every family member (q^dimension words total).  The members are the
     lambda tuples of schemes.family_lambdas, under its budget."""
-    budget = budget or EnumerationBudget.from_env()
     q, m = params.q, params.m
     budget.check_codewords(q ** params.dimension)
     spec = FamilySpec.quadratic(q, m, params.i)
@@ -87,10 +94,9 @@ def trace_route_weights(params: CodeParams, budget: EnumerationBudget | None = N
     )
 
 
-def generator_route_weights(code, budget: EnumerationBudget | None = None) -> WeightEnumerator:
+def generator_route_weights(code, budget: EnumerationBudget = DEFAULT_BUDGET) -> WeightEnumerator:
     """Weight distribution by iterating all information words against the
     generator-polynomial row space (chunked, vectorized over rows)."""
-    budget = budget or EnumerationBudget.from_env()
     field = code.field
     q, n, k = field.q, code.length, code.dimension
     budget.check_codewords(q ** k)
@@ -119,7 +125,7 @@ def generator_route_weights(code, budget: EnumerationBudget | None = None) -> We
     return WeightEnumerator(counts={w: int(c) for w, c in enumerate(counts) if c}, length=n)
 
 
-def enumerate_code_weights(source, budget: EnumerationBudget | None = None,
+def enumerate_code_weights(source, budget: EnumerationBudget = DEFAULT_BUDGET,
                            workers: int | None = None) -> WeightEnumerator:
     """Exact weight distribution; CodeParams uses the trace route, a
     CyclicCode the generator route.  Both routes agree (tested)."""
@@ -128,12 +134,7 @@ def enumerate_code_weights(source, budget: EnumerationBudget | None = None,
     return generator_route_weights(source, budget)
 
 
-def oracle_min_distance(params: CodeParams, budget: EnumerationBudget | None = None,
-                        workers: int | None = None) -> int:
-    return trace_route_weights(params, budget, workers).min_positive_weight()
-
-
-def rank_type_census(spec: FamilySpec, budget: EnumerationBudget | None = None) -> InnerDistribution:
+def rank_type_census(spec: FamilySpec, budget: EnumerationBudget = DEFAULT_BUDGET) -> InnerDistribution:
     """Classify every family member independently and tally.
 
     The members are those of the Q family with the same (q, m, i), drawn
@@ -157,17 +158,14 @@ def coset_weight_distribution(field: FieldContext, form) -> dict[int, int]:
 
 
 def appendix_census(q: int, m: int, coeff_form: CoefficientForm, c_class: str,
-                    budget: EnumerationBudget | None = None) -> dict[int, int]:
+                    budget: EnumerationBudget = DEFAULT_BUDGET) -> dict[int, int]:
     """Frequencies of N(Q+L+c) over all q^m linear functions L, with c
     ranging over one square class (or summed over GF(q)*): N(Q+L+c) is
     T[-c, L] of the Walsh table of Q, counted per c.  c_class is one of
     weights.C_CLASSES_ODD / C_CLASSES_EVEN for the parity of q."""
-    budget = budget or EnumerationBudget.from_env()
     budget.check_field(q ** m)
     F = small_field(q)
-    classes = C_CLASSES_ODD if q % 2 else C_CLASSES_EVEN
-    if c_class not in classes:
-        raise OutOfRange(f"{'odd' if q % 2 else 'even'} q c_class must be one of {classes}")
+    check_c_class(q, c_class)
     if c_class == "nonzero-sum":
         cs = list(range(1, q))
     elif c_class == "nonsquare":

@@ -53,7 +53,7 @@ class EnumerationBudget:
         """'small', 'default' (or empty), or a positive integer codeword cap."""
         raw = (raw or "").strip().lower()
         if not raw or raw == "default":
-            return EnumerationBudget()
+            return DEFAULT_BUDGET
         if raw == "small":
             return EnumerationBudget(max_codewords=1 << 16, max_field_size=1 << 12)
         if not raw.isdecimal() or int(raw) < 1:
@@ -62,7 +62,8 @@ class EnumerationBudget:
 
     @staticmethod
     def from_env() -> "EnumerationBudget":
-        """BCHFORMS_BUDGET, read by parse."""
+        """BCHFORMS_BUDGET, read by parse: a setting of the CLI, which is
+        the only caller; library scans take their budget as an argument."""
         return EnumerationBudget.parse(os.environ.get("BCHFORMS_BUDGET"))
 
     def check_codewords(self, count: int) -> None:
@@ -81,6 +82,9 @@ class EnumerationBudget:
             raise BudgetExceeded(f"field size {size} exceeds budget {self.max_field_size}")
 
 
+DEFAULT_BUDGET = EnumerationBudget()
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     kind: str
@@ -92,7 +96,8 @@ class FamilySpec:
         if self.kind not in FAMILY_KINDS:
             raise OutOfRange(f"unknown family kind {self.kind}")
         prime_power(self.q)
-        if self.m < 1 or self.m * (2 * self.i - self.m + 3) < 0:
+        # i = m - 1 already spans every form; a slot j > m would repeat x^(q^(j-m)+1)
+        if self.m < 1 or self.m * (2 * self.i - self.m + 3) < 0 or self.i >= self.m:
             raise OutOfRange(f"no family {self.kind}({self.i}) for m={self.m}")
         want_odd = self.kind.endswith("1")
         if want_odd != (self.m % 2 == 1):
@@ -172,21 +177,19 @@ def _bilinear_gram(field: FieldContext, i: int, lambdas: tuple[int, ...]) -> Gra
     return GramMatrix(entries=gram, field_q=F)
 
 
-def family_lambdas(spec: FamilySpec, budget: EnumerationBudget | None = None):
+def family_lambdas(spec: FamilySpec, budget: EnumerationBudget = DEFAULT_BUDGET):
     """The lambda tuple of every member of the family exactly once, in
     lexicographic element order: the one member source of every family scan.
 
-    The budget (BCHFORMS_BUDGET when None) is applied at call time, before
-    the field is built: GF(q^m) against the field cap, then spec.size
-    against the member cap.
+    The budget is applied at call time, before the field is built: GF(q^m)
+    against the field cap, then spec.size against the member cap.
     """
-    budget = budget or EnumerationBudget.from_env()
     budget.check_field(spec.q ** spec.m)
     budget.check_members(spec.size)
     return product(*family_domains(field_for(spec.q, spec.m), spec.i))
 
 
-def enumerate_family(spec: FamilySpec, budget: EnumerationBudget | None = None):
+def enumerate_family(spec: FamilySpec, budget: EnumerationBudget = DEFAULT_BUDGET):
     """The members of family_lambdas(spec, budget) as forms: Q kinds give
     TraceQuadraticForm, S/A kinds GramMatrix from the bilinear-form
     parametrization (independent of the polarization code path, so
@@ -213,7 +216,7 @@ def _tally(spec: FamilySpec, members) -> InnerDistribution:
     return dist
 
 
-def census_inner_distribution(spec: FamilySpec, budget: EnumerationBudget | None = None) -> InnerDistribution:
+def census_inner_distribution(spec: FamilySpec, budget: EnumerationBudget = DEFAULT_BUDGET) -> InnerDistribution:
     """Exact inner distribution by classifying every member; the family
     must fit the budget of enumerate_family."""
     return _tally(spec, enumerate_family(spec, budget))
@@ -410,6 +413,8 @@ def t_design_check(members, t: int, q: int, m: int) -> bool:
     """Combinatorial t-design test in Sym(m, q): the number of members
     extending each symmetric form on each t-dimensional subspace must be one
     constant.  `members` is an iterable of GramMatrix or raw m x m arrays."""
+    if not 0 <= t <= m:
+        raise OutOfRange(f"t={t} out of [0, m={m}]")
     if t == 0:
         return True
     F = small_field(q)
@@ -434,7 +439,7 @@ def t_design_check(members, t: int, q: int, m: int) -> bool:
     return True
 
 
-def family_design_check(spec: FamilySpec, t: int, budget: EnumerationBudget | None = None) -> bool:
+def family_design_check(spec: FamilySpec, t: int, budget: EnumerationBudget = DEFAULT_BUDGET) -> bool:
     """t-design check for a whole S family; the family must fit the budget
     of enumerate_family."""
-    return t_design_check(list(enumerate_family(spec, budget)), t, spec.q, spec.m)
+    return t_design_check(enumerate_family(spec, budget), t, spec.q, spec.m)

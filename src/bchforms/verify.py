@@ -13,6 +13,7 @@ from .bchcode import generator_polynomial
 from .errors import BchFormsError, BudgetExceeded, OutOfRange
 from .forms import all_rank_types, canonical_form, classify_quadratic
 from .schemes import (
+    DEFAULT_BUDGET,
     EnumerationBudget,
     FamilySpec,
     census_inner_distribution,
@@ -32,12 +33,10 @@ def _qs(q: int | None) -> tuple[int, ...]:
 
 
 def verify_cosets(q: int | None = None, max_m: int = 10,
-                  budget: EnumerationBudget | None = None) -> list[Check]:
-    budget = budget or EnumerationBudget.from_env()
+                  budget: EnumerationBudget = DEFAULT_BUDGET) -> list[Check]:
     out: list[Check] = []
     for qq in _qs(q):
-        min_m = {2: 3, 3: 2}.get(qq, 1)
-        for m in range(min_m, max_m + 1):
+        for m in range(cyc.least_m(qq), max_m + 1):
             if qq ** m > min(budget.max_field_size, 1 << 14):
                 continue
             n = qq ** m - 1
@@ -54,7 +53,7 @@ def verify_cosets(q: int | None = None, max_m: int = 10,
                 out.append(
                     (f"leader-set q={qq} m={m} i={i}", got == expected, f"{got}")
                 )
-                closed = m * (2 * i - m + 5) // 2 + 1
+                closed = cyc.closed_dimension(m, i)
                 got_dim = cyc.bch_dimension(qq, m, delta_i)
                 out.append(
                     (f"dimension q={qq} m={m} i={i}", got_dim == closed, f"{got_dim}")
@@ -65,7 +64,7 @@ def verify_cosets(q: int | None = None, max_m: int = 10,
 FORM_FAMILIES = [(2, 5, 2), (2, 6, 2), (3, 3, 1), (3, 4, 1), (4, 2, 1), (4, 3, 1), (5, 2, 1)]
 
 
-def verify_forms(q: int | None = None, budget: EnumerationBudget | None = None) -> list[Check]:
+def verify_forms(q: int | None = None, budget: EnumerationBudget = DEFAULT_BUDGET) -> list[Check]:
     import numpy as np
 
     from .forms import count_solutions_closed
@@ -97,7 +96,7 @@ CORRESPONDENCE_EVEN = [("Q1", "A1", 2, 5, 2), ("Q2", "A2", 2, 6, 2), ("Q2", "A2"
 
 
 def verify_schemes(q: int | None = None, m: int | None = None, i: int | None = None,
-                   budget: EnumerationBudget | None = None) -> list[Check]:
+                   budget: EnumerationBudget = DEFAULT_BUDGET) -> list[Check]:
     out: list[Check] = []
     schmidt_cases = SCHMIDT_FAMILIES
     if q and m and i is not None:
@@ -157,8 +156,7 @@ def verify_schemes(q: int | None = None, m: int | None = None, i: int | None = N
 
 
 def verify_appendix(q: int | None = None, max_m: int = 4,
-                    budget: EnumerationBudget | None = None) -> list[Check]:
-    budget = budget or EnumerationBudget.from_env()
+                    budget: EnumerationBudget = DEFAULT_BUDGET) -> list[Check]:
     out: list[Check] = []
     for qq in _qs(q):
         for m in range(2, max_m + 1):
@@ -177,10 +175,9 @@ def verify_appendix(q: int | None = None, max_m: int = 4,
     return out
 
 
-def verify_examples(budget: EnumerationBudget | None = None,
+def verify_examples(budget: EnumerationBudget = DEFAULT_BUDGET,
                     workers: int | None = None) -> list[Check]:
     """The worked examples: closed enumerators against full enumeration."""
-    budget = budget or EnumerationBudget.from_env()
     out: list[Check] = []
     for q, m, i in [(3, 3, 1), (3, 4, 2)]:
         params = cyc.code_params(q, m, i)
@@ -209,21 +206,22 @@ def verify_examples(budget: EnumerationBudget | None = None,
     return out
 
 
-SUITES = {
-    "cosets": lambda **kw: verify_cosets(q=kw.get("q"), max_m=kw.get("max_m") or 10, budget=kw.get("budget")),
-    "forms": lambda **kw: verify_forms(q=kw.get("q"), budget=kw.get("budget")),
-    "schemes": lambda **kw: verify_schemes(q=kw.get("q"), m=kw.get("m"), i=kw.get("i"), budget=kw.get("budget")),
-    "appendix": lambda **kw: verify_appendix(q=kw.get("q"), max_m=kw.get("max_m") or 4, budget=kw.get("budget")),
-    "examples": lambda **kw: verify_examples(budget=kw.get("budget"), workers=kw.get("workers")),
-}
-
-
-def run_suite(name: str, **kw) -> list[Check]:
-    if name == "all":
-        checks: list[Check] = []
-        for suite in SUITES.values():
-            checks.extend(suite(**kw))
-        return checks
-    if name not in SUITES:
-        raise OutOfRange(f"unknown suite {name}; pick from {sorted(SUITES)} or 'all'")
-    return SUITES[name](**kw)
+def run_suite(name: str, q: int | None = None, m: int | None = None, i: int | None = None,
+              max_m: int | None = None, budget: EnumerationBudget = DEFAULT_BUDGET,
+              workers: int | None = None) -> list[Check]:
+    """The checks of one suite, or of every suite for 'all'.  A run whose
+    inputs and budget leave no check raises OutOfRange: it verified nothing."""
+    suites = {
+        "cosets": lambda: verify_cosets(q, max_m or 10, budget),
+        "forms": lambda: verify_forms(q, budget),
+        "schemes": lambda: verify_schemes(q, m, i, budget),
+        "appendix": lambda: verify_appendix(q, max_m or 4, budget),
+        "examples": lambda: verify_examples(budget, workers),
+    }
+    if name != "all" and name not in suites:
+        raise OutOfRange(f"unknown suite {name}; pick from {sorted(suites)} or 'all'")
+    chosen = suites.values() if name == "all" else [suites[name]]
+    checks = [check for suite in chosen for check in suite()]
+    if not checks:
+        raise OutOfRange(f"verify {name} ran no check: every case is outside its range or the budget")
+    return checks

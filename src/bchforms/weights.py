@@ -37,13 +37,12 @@ from .errors import (
 )
 from .forms import (
     RankType,
-    TraceQuadraticForm,
     all_rank_types,
     classify_quadratic,
     type_sign,
 )
-from .gfarith import FieldContext, small_field
-from .schemes import EnumerationBudget, FamilySpec, enumerate_family, schmidt_for_family
+from .gfarith import small_field
+from .schemes import DEFAULT_BUDGET, EnumerationBudget, FamilySpec, enumerate_family, schmidt_for_family
 
 
 @dataclass
@@ -150,13 +149,7 @@ def code_enumerator_odd(params: CodeParams) -> WeightEnumerator:
     return enum
 
 
-def coset_words_weight_table(field: FieldContext, form: TraceQuadraticForm) -> np.ndarray:
-    """Weights of all q^(m+1) words of the coset of Q; row 0 is mu = 0,
-    row 1+k is mu = alpha^k, columns are epsilon."""
-    return kernels.coset_weight_table(form.value_vec(), *kernels.field_inputs(field))
-
-
-def min_distance_even(params: CodeParams, budget: EnumerationBudget | None = None):
+def min_distance_even(params: CodeParams, budget: EnumerationBudget = DEFAULT_BUDGET):
     """Minimum distance delta_i for even q with an explicit witness.
 
     Scans the family, drawn from enumerate_family under its budget, in
@@ -183,7 +176,9 @@ def min_distance_even(params: CodeParams, budget: EnumerationBudget | None = Non
     if witness_form is None:
         raise WitnessNotFound(f"no rank/type witness in the family for ({q},{m},{i})")
     field = witness_form.field
-    table = coset_words_weight_table(field, witness_form)
+    # weights of all q^(m+1) words of the witness coset: row 0 is mu = 0,
+    # row 1+k is mu = alpha^k, columns are epsilon
+    table = kernels.coset_weight_table(witness_form.value_vec(), *kernels.field_inputs(field))
     hits = np.argwhere(table == params.delta_i)
     if hits.size == 0:
         raise WitnessNotFound("witness coset contains no word of weight delta_i")
@@ -263,6 +258,13 @@ C_CLASSES_ODD = ("zero", "square", "nonsquare", "nonzero-sum")
 C_CLASSES_EVEN = ("zero", "nonzero", "nonzero-sum")
 
 
+def check_c_class(q: int, c_class: str) -> None:
+    """OutOfRange unless c_class is one of the classes for the parity of q."""
+    classes = C_CLASSES_ODD if q % 2 else C_CLASSES_EVEN
+    if c_class not in classes:
+        raise OutOfRange(f"{'odd' if q % 2 else 'even'} q c_class must be one of {classes}")
+
+
 def appendix_frequency_tables(q: int, m: int, rt: RankType, c_class: str) -> dict[int, int]:
     """Closed-form frequencies of N(f) as f = Q+L+c ranges over all q^m
     homogeneous linear functions L (and over all nonzero c as well for the
@@ -274,9 +276,7 @@ def appendix_frequency_tables(q: int, m: int, rt: RankType, c_class: str) -> dic
     if rt.rank == 0:
         raise RankZero("appendix tables need rank >= 1")
     _check_rank_type(q, m, rt)
-    classes = C_CLASSES_ODD if q % 2 else C_CLASSES_EVEN
-    if c_class not in classes:
-        raise OutOfRange(f"{'odd' if q % 2 else 'even'} q c_class must be one of {classes}")
+    check_c_class(q, c_class)
     if c_class == "nonzero-sum":
         return _nonzero_sum(q, m, rt)
     return _c_table(q, m, rt, {"zero": 0, "square": 1, "nonsquare": -1, "nonzero": None}[c_class])

@@ -2,10 +2,12 @@ import ast
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bchforms import cli, kernels, oracle, schemes, weights
@@ -155,6 +157,9 @@ def test_verify_small_budget(capsys):
     ("coset-leaders", "-q", "0", "-m", "-1", "--threshold", "5"),
     ("inner-dist", "--family", "A1", "-q", "2", "-m", "5", "-i", "2", "--method", "closed"),
     ("inner-dist", "--family", "S1", "-q", "0", "-m", "-1", "-i", "-1", "--method", "closed"),
+    ("inner-dist", "--family", "A1", "-q", "2", "-m", "3", "-i", "3", "--method", "census"),
+    ("design-check", "--family", "S1", "-q", "3", "-m", "3", "-i", "1", "-t", "-1"),
+    ("design-check", "--family", "S1", "-q", "3", "-m", "3", "-i", "1", "-t", "4"),
 ])
 def test_bad_input_is_one_json_error(capsys, argv):
     code, doc = run_cli(capsys, *argv)
@@ -263,28 +268,60 @@ def test_verify_examples_budget(capsys, monkeypatch, budget, runs):
         real = getattr(oracle, name)
         monkeypatch.setattr(oracle, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
     code, doc = run_cli(capsys, "verify", "examples", "--budget", budget)
-    assert code == 0
-    assert doc["payload"]["failed"] == 0
-    names = [c["name"] for c in doc["payload"]["checks"]]
-    assert ("route-agreement (2,4,1)" in names) == runs
     assert ("generator_route_weights" in calls) == runs
     assert bool(calls) == runs
+    if runs:
+        assert code == 0
+        assert doc["payload"]["failed"] == 0
+        assert "route-agreement (2,4,1)" in [c["name"] for c in doc["payload"]["checks"]]
+    else:
+        # no example fits 100 codewords, and a run that checked nothing fails
+        assert code == 1
+        assert doc["error"] == "OutOfRange"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "examples", "--budget", "100"),
+    ("verify", "appendix", "--q", "2", "--max-m", "1", "--budget", "1"),
+])
+def test_verify_with_no_check_is_an_error(capsys, argv):
+    # every case is over the budget or outside the range: exit 0 would pass
+    # a run that verified nothing
+    code, doc = run_cli(capsys, *argv)
+    assert code == 1
+    assert set(doc) == {"command", "error", "message"}
+    assert doc["error"] == "OutOfRange"
+    assert f"verify {argv[1]}" in doc["message"]
+
+
+def _references(*names):
+    """(module, innermost enclosing function) of every Name or Attribute in
+    src/ spelled as one of names."""
+    refs = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in names:
+                owners = [f for f in defs if f.lineno <= node.lineno <= f.end_lineno]
+                refs.append((path.stem, max(owners, key=lambda f: f.lineno).name if owners else None))
+    return refs
 
 
 def test_family_domains_has_one_reader():
     # schemes.family_lambdas is the one member source of every family scan:
     # an enumeration that changes what a scan visits edits that function,
     # and no scan grows its own lambda product
-    readers = []
-    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        defs = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for node in ast.walk(tree):
-            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if isinstance(node, (ast.Name, ast.Attribute)) and name == "family_domains":
-                owners = [f for f in defs if f.lineno <= node.lineno <= f.end_lineno]
-                readers.append((path.stem, max(owners, key=lambda f: f.lineno).name if owners else None))
-    assert readers == [("schemes", "family_lambdas")]
+    assert _references("family_domains") == [("schemes", "family_lambdas")]
+
+
+def test_budget_has_one_reader():
+    # a library result is a function of its arguments: the environment is
+    # read only by EnumerationBudget.from_env, and only the CLI calls it
+    assert _references("environ", "getenv") == [("schemes", "from_env")]
+    callers = _references("from_env")
+    assert callers and {module for module, _ in callers} == {"cli"}
 
 
 def test_package_has_no_assert():
@@ -304,12 +341,33 @@ Q = st.integers(-1, 10)
 M = st.integers(-1, 6)
 I = st.integers(-1, 6)
 
+# inner-dist, design-check and verify run under BCHFORMS_BUDGET=small:
+# GF(q^m) <= 2^12 and at most 2^16 members, or a BudgetExceeded refusal.
+# A draw whose family that budget admits is kept only if it has at most
+# CHEAP_MEMBERS members (|family| = q^(m(2i-m+3)/2) in the paper), since a
+# census classifies every member and a t-design test restricts every member
+# to every t-subspace; each example then runs in under 0.5 s (2 vCPUs).
+SMALL_BUDGET_COMMANDS = ("inner-dist", "design-check", "verify")
+CHEAP_MEMBERS = 1 << 7
+
+
+def _cheap(q: int, m: int, i: int) -> bool:
+    e = m * (2 * i - m + 3) // 2
+    return not (q >= 2 and m >= 1 and e >= 0 and CHEAP_MEMBERS < q ** e <= 1 << 16)
+
 
 @st.composite
 def cli_argv(draw):
     """argv of one subcommand with int values in small ranges, bad ones included."""
-    cmd = draw(st.sampled_from(
-        ["params", "coset-leaders", "genpoly", "classify-form", "dg-bound", "appendix-table", "inner-dist"]))
+    cmd = draw(st.sampled_from(["params", "coset-leaders", "genpoly", "classify-form", "dg-bound",
+                                "appendix-table", "inner-dist", "design-check", "verify"]))
+    if cmd == "verify":
+        argv = [cmd, draw(st.sampled_from(["cosets", "forms", "schemes", "appendix", "examples", "all"]))]
+        q, m, i = draw(Q), draw(M), draw(I)
+        argv += draw(st.sampled_from([[], ["--q", str(q)], ["--q", str(q), "--m", str(m), "--i", str(i)]]))
+        argv += draw(st.sampled_from([[], ["--max-m", str(draw(M))]]))
+        assume("--m" not in argv or _cheap(q, m, i))
+        return argv
     qm = ["-q", str(draw(Q)), "-m", str(draw(M))]
     if cmd == "params":
         return [cmd, *qm, "-i", str(draw(I))]
@@ -331,17 +389,23 @@ def cli_argv(draw):
         # the oracle is one Walsh table: cheap up to q^m = 2^12
         q, m = int(qm[1]), int(qm[3])
         return argv if m < 1 or abs(q) ** m <= 1 << 12 else argv + ["--no-oracle"]
-    # the census of a family is not under the enumeration budget, so only
-    # the closed form is drawn here
-    family = draw(st.sampled_from(["Q1", "Q2", "S1", "S2", "A1", "A2"]))
-    return [cmd, "--family", family, *qm, "-i", str(draw(I)), "--method", "closed"]
+    i = draw(I)
+    if cmd == "design-check":
+        argv = [cmd, "--family", draw(st.sampled_from(["S1", "S2"])), *qm, "-i", str(i), "-t", str(draw(I))]
+    else:
+        family = draw(st.sampled_from(["Q1", "Q2", "S1", "S2", "A1", "A2"]))
+        method = draw(st.sampled_from(["census", "closed", "both"]))
+        argv = [cmd, "--family", family, *qm, "-i", str(i), "--method", method]
+    assume(argv[-1] == "closed" or _cheap(int(qm[1]), int(qm[3]), i))
+    return argv
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(cli_argv())
 def test_cli_contract(argv):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    env = {"BCHFORMS_BUDGET": "small"} if argv[0] in SMALL_BUDGET_COMMANDS else {}
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out):
         code = cli.main(argv)
     lines = out.getvalue().splitlines()
     assert len(lines) == 1, lines

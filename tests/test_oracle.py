@@ -16,6 +16,7 @@ from bchforms.oracle import (
     rank_type_census,
     trace_route_weights,
 )
+from bchforms.schemes import FamilySpec
 from bchforms.weights import C_CLASSES_EVEN, C_CLASSES_ODD, appendix_frequency_tables, code_enumerator_odd
 
 
@@ -38,6 +39,17 @@ def test_budget_parse():
     for raw in ("foo", "1.5", "0", "-3", "1e6"):
         with pytest.raises(OutOfRange):
             EnumerationBudget.parse(raw)
+
+
+def test_library_scans_ignore_the_budget_variable(monkeypatch):
+    # a library result is a function of its arguments: BCHFORMS_BUDGET is a
+    # setting of the CLI, so a 1-codeword value refuses nothing here
+    monkeypatch.setenv("BCHFORMS_BUDGET", "1")
+    params = code_params(3, 3, 1)
+    assert trace_route_weights(params).total() == 3 ** params.dimension
+    assert rank_type_census(FamilySpec("S1", 3, 3, 1)).total() == 27
+    form = canonical_form(3, 3, RankType(3, 1))
+    assert sum(oracle.appendix_census(3, 3, form, "zero").values()) == 27
 
 
 def test_budget_refusal():

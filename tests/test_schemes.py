@@ -301,7 +301,6 @@ SMALL = EnumerationBudget.parse("small")
 def test_family_scans_refuse_before_the_field(monkeypatch, scan):
     built = []
     monkeypatch.setattr(schemes, "field_for", lambda *a: built.append(a))
-    monkeypatch.delenv("BCHFORMS_BUDGET", raising=False)
     with pytest.raises(BudgetExceeded):
         scan()
     assert built == []
