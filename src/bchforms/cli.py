@@ -108,10 +108,13 @@ def cmd_classify_form(args, budget):
 def cmd_inner_dist(args, budget):
     spec = FamilySpec(args.family, args.q, args.m, args.i)
     payload: dict = {"family": args.family, "size": spec.size}
+    # the closed form first: it refuses a family it has no formula for
+    # before the census scans that family
+    closed = schmidt_for_family(spec).to_json() if args.method in ("closed", "both") else None
     if args.method in ("census", "both"):
         payload["census"] = census_inner_distribution(spec, budget).to_json()
-    if args.method in ("closed", "both"):
-        payload["closed"] = schmidt_for_family(spec).to_json()
+    if closed is not None:
+        payload["closed"] = closed
     if args.method == "both":
         payload["match"] = payload["census"] == payload["closed"]
         if not payload["match"]:

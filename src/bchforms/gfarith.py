@@ -177,9 +177,25 @@ def monic_poly_from_code(F: "SmallField", degree: int, code: int) -> list[int]:
     return coeffs + [1]
 
 
+def _has_root(F: "SmallField", f: list[int]) -> bool:
+    """Whether f vanishes at some element of GF(q) (Horner at each)."""
+    for a in range(F.q):
+        acc = 0
+        for c in reversed(f):
+            acc = F.add_el(F.mul_el(acc, a), c)
+        if acc == 0:
+            return True
+    return False
+
+
 def smallest_irreducible(F: "SmallField", degree: int) -> list[int]:
+    """The monic irreducible of the given degree with the least code.  A
+    candidate of degree >= 2 with a root in GF(q) has a linear factor, so
+    it is skipped before the Frobenius test."""
     for code in range(F.q ** degree):
         f = monic_poly_from_code(F, degree, code)
+        if degree >= 2 and _has_root(F, f):
+            continue
         if poly_is_irreducible(F, f):
             return f
     raise BchFormsError(f"no irreducible of degree {degree} over GF({F.q})")  # unreachable

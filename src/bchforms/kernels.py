@@ -18,7 +18,11 @@ ch. 14).
 The coordinates of x = alpha^t are read from the trace vector itself,
 x_b = trv[t+b] for b < m.  That is a linear coordinate system only if trv
 is an m-sequence; each distinct trace vector is checked once
-(``NotAnMSequence`` otherwise) and its coordinate permutation cached.
+(``NotAnMSequence`` otherwise) and its coordinate permutation cached in a
+plan.  ``field_inputs`` hands out the plan's own ``trv2`` and ``pair``,
+validated and read-only, and a kernel given exactly those arrays finds its
+plan by identity, with no content comparison.  Any other array (a copy, a
+caller-built vector) is matched by content and checked as before.
 
 Conventions shared by all kernels:
 
@@ -46,21 +50,25 @@ def use_numba() -> bool:
 
 
 def field_inputs(field):
-    """(trv2, pair, neg) of a FieldContext, as the coset kernels take them."""
+    """(trv2, pair, neg) of a FieldContext, as the coset kernels take them:
+    trv2 and pair are the validated, read-only arrays of the field's plan."""
     F = field.base
-    return (np.concatenate([field.trace_vec, field.trace_vec]),
-            F.add.astype(np.int64).ravel(), F.neg.astype(np.int64))
+    plan = _plan(np.concatenate([field.trace_vec, field.trace_vec]), F.add.ravel(), F.q)
+    return plan.trv2, plan.pair, F.neg.astype(np.int64)
 
 
-def eval_qvec(lam_logs, steps, trace_rows, pair, q, out):
-    """Fill out[t] = Q(alpha^t) = sum_s trace_rows[s, (lam_logs[s] + t*steps[s]) mod n]
-    summed in GF(q); lam_logs[s] = -1 marks a zero lambda."""
+def eval_qvec(lam_logs, index_rows, trace_rows2, pair, q, out):
+    """Fill out[t] = Q(alpha^t) = sum_s trace_rows2[s, lam_logs[s] + index_rows[s, t]]
+    summed in GF(q); lam_logs[s] = -1 marks a zero lambda.  index_rows[s, t]
+    = t*(q^j_s + 1) mod n and each trace row is repeated twice, so the sum
+    of a log in [0, n) and an index needs no reduction mod n."""
     n = out.shape[0]
-    t = np.arange(n, dtype=np.int64)
-    out[:] = 0
+    acc = None
     for s, l in enumerate(lam_logs):
         if l >= 0:
-            out[:] = pair[out * q + trace_rows[s][(l + t * steps[s]) % n]]
+            term = trace_rows2[s, l:l + n][index_rows[s]]
+            acc = term if acc is None else pair[acc * q + term]
+    out[:] = 0 if acc is None else acc
 
 
 @dataclass(frozen=True)
@@ -78,9 +86,14 @@ _PLANS: tuple[_Plan, ...] = ()
 
 
 def _plan(trv2, pair, q: int) -> _Plan:
-    """The cached plan of this trace vector, built (and checked) on first use."""
+    """The cached plan of this trace vector, built (and checked) on first use;
+    the plan's own arrays are matched by identity, any other by content."""
     global _PLANS
-    for plan in _PLANS:
+    plans = _PLANS
+    for plan in plans:
+        if trv2 is plan.trv2 and pair is plan.pair:
+            return plan
+    for plan in plans:
         if np.array_equal(plan.trv2, trv2) and np.array_equal(plan.pair, pair):
             return plan
     plan = _build_plan(np.array(trv2, dtype=np.int64), np.array(pair, dtype=np.int64), q)
@@ -116,6 +129,8 @@ def _build_plan(trv2: np.ndarray, pair: np.ndarray, q: int) -> _Plan:
     # Tr(alpha^k x) at x = e_j is trv[t_j + k]: the functional's coordinates
     rows = np.zeros(n + 1, dtype=np.int64)
     rows[1:] = trv2[unit[:, None] + np.arange(n)].T @ qpow
+    trv2.setflags(write=False)
+    pair.setflags(write=False)
     return _Plan(trv2=trv2, pair=pair, m=m, pos=pos, rows=rows)
 
 
@@ -141,22 +156,34 @@ def walsh_table(vals, q: int, m: int) -> np.ndarray:
     return T.reshape(q, size)
 
 
-def _coset_weights(qv, trv2, pair, neg) -> tuple[_Plan, np.ndarray]:
-    """W[eps, l]: weight of the word f + l.x + eps, l a coordinate index."""
+def _coset_walsh(qv, trv2, pair, neg) -> tuple[_Plan, np.ndarray]:
+    """The plan and the Walsh table T[v, l] of the values qv (by exponent)."""
     q = neg.shape[0]
     plan = _plan(trv2, pair, q)
-    size = qv.shape[0] + 1
-    vals = np.zeros(size, dtype=np.int64)
+    vals = np.zeros(qv.shape[0] + 1, dtype=np.int64)
     vals[plan.pos] = qv
-    W = size - 1 - walsh_table(vals, q, plan.m)[neg]
+    return plan, walsh_table(vals, q, plan.m)
+
+
+def _coset_weights(qv, trv2, pair, neg) -> tuple[_Plan, np.ndarray]:
+    """W[eps, l]: weight of the word f + l.x + eps, l a coordinate index."""
+    plan, T = _coset_walsh(qv, trv2, pair, neg)
+    W = qv.shape[0] - T[neg]
     W[0] += 1
     return plan, W
 
 
 def coset_weight_counts(qv, trv2, pair, neg, counts):
-    """Accumulate the weight histogram of the coset of Q into counts."""
-    _, W = _coset_weights(qv, trv2, pair, neg)
-    counts += np.bincount(W.ravel(), minlength=counts.shape[0])
+    """Accumulate the weight histogram of the coset of Q into counts[:n+1].
+
+    The word (l, eps) has n - Z zeros among the n codeword coordinates, with
+    Z = T[-eps, l] - [eps = 0] (x = 0 is not a coordinate, and is a zero of
+    every word with eps = 0).  neg only permutes the rows of T, so the
+    histogram of the weights is that of Z = T - [v = 0], reversed."""
+    _, T = _coset_walsh(qv, trv2, pair, neg)
+    T[0] -= 1
+    size = qv.shape[0] + 1
+    counts[:size] += np.bincount(T.ravel(), minlength=size)[::-1]
 
 
 def coset_weight_table(qv, trv2, pair, neg):

@@ -48,11 +48,28 @@ def default_workers() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
+def qvec_tables(field: FieldContext, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index_rows, trace_rows2) of kernels.eval_qvec for the slots of
+    Q1(i)/Q2(i): index_rows[s, t] = t*(q^j_s + 1) mod n, and trace_rows2[s]
+    the slot's trace vector (half trace for the half slot) repeated twice."""
+    q, n = field.q, field.n
+    slots = family_slots(field.m, i)
+    steps = np.array([(q ** s.j + 1) % n for s in slots], dtype=np.intp)
+    index_rows = np.arange(n, dtype=np.intp) * steps[:, None] % n
+    trace_rows2 = np.stack([np.tile(field.half_trace_vec if s.half else field.trace_vec, 2)
+                            for s in slots])
+    return index_rows, trace_rows2
+
+
 def trace_route_weights(params: CodeParams, budget: EnumerationBudget = DEFAULT_BUDGET,
                         workers: int | None = None) -> WeightEnumerator:
     """Weight distribution of the whole code by scanning every coset of
     every family member (q^dimension words total).  The members are the
-    lambda tuples of schemes.family_lambdas, under its budget."""
+    lambda tuples of schemes.family_lambdas, under its budget.
+
+    Each member's value vector is one kernels.eval_qvec call on tables
+    built once per code (qvec_tables): the index rows t*(q^j+1) mod n of
+    every slot and the slot trace rows repeated twice."""
     q, m = params.q, params.m
     budget.check_codewords(q ** params.dimension)
     spec = FamilySpec.quadratic(q, m, params.i)
@@ -60,16 +77,14 @@ def trace_route_weights(params: CodeParams, budget: EnumerationBudget = DEFAULT_
     field = field_for(q, m)
     n = field.n
     log = field.log_index.tolist()  # log[0] = -1 marks a zero lambda
-    slots = family_slots(m, params.i)
-    steps = np.array([(q ** s.j + 1) % n for s in slots], dtype=np.int64)
-    trace_rows = np.stack([field.half_trace_vec if s.half else field.trace_vec for s in slots])
+    index_rows, trace_rows2 = qvec_tables(field, params.i)
     trv2, pair, neg = kernels.field_inputs(field)
 
     def scan(lambdas) -> np.ndarray:
         counts = np.zeros(n + 1, dtype=np.int64)
         qv = np.empty(n, dtype=np.int64)
         for lams in lambdas:
-            kernels.eval_qvec([log[v] for v in lams], steps, trace_rows, pair, q, qv)
+            kernels.eval_qvec([log[v] for v in lams], index_rows, trace_rows2, pair, q, qv)
             kernels.coset_weight_counts(qv, trv2, pair, neg, counts)
         return counts
 

@@ -12,6 +12,7 @@ from . import weights as wts
 from .bchcode import generator_polynomial
 from .errors import BchFormsError, BudgetExceeded, OutOfRange
 from .forms import all_rank_types, canonical_form, classify_quadratic
+from .gfarith import prime_power
 from .schemes import (
     DEFAULT_BUDGET,
     EnumerationBudget,
@@ -29,7 +30,12 @@ Check = tuple[str, bool, str]
 
 
 def _qs(q: int | None) -> tuple[int, ...]:
-    return (q,) if q else (2, 3, 4, 5)
+    """The field sizes a suite covers: q alone when given (NotPrime unless
+    it is a prime power), else 2, 3, 4 and 5."""
+    if q is None:
+        return 2, 3, 4, 5
+    prime_power(q)
+    return (q,)
 
 
 def verify_cosets(q: int | None = None, max_m: int = 10,
@@ -70,8 +76,9 @@ def verify_forms(q: int | None = None, budget: EnumerationBudget = DEFAULT_BUDGE
     from .forms import count_solutions_closed
 
     out: list[Check] = []
+    qs = _qs(q)
     for qq, m, i in FORM_FAMILIES:
-        if q and qq != q:
+        if qq not in qs:
             continue
         bad = 0
         n_forms = 0
@@ -98,13 +105,15 @@ CORRESPONDENCE_EVEN = [("Q1", "A1", 2, 5, 2), ("Q2", "A2", 2, 6, 2), ("Q2", "A2"
 def verify_schemes(q: int | None = None, m: int | None = None, i: int | None = None,
                    budget: EnumerationBudget = DEFAULT_BUDGET) -> list[Check]:
     out: list[Check] = []
+    qs = _qs(q)
     schmidt_cases = SCHMIDT_FAMILIES
-    if q and m and i is not None:
+    if None not in (q, m, i):
         schmidt_cases = [("S1" if m % 2 else "S2", q, m, i)]
     for kind, qq, mm, ii in schmidt_cases:
+        spec = FamilySpec(kind, qq, mm, ii)  # a family that does not exist is an input error
         try:
-            census = census_inner_distribution(FamilySpec(kind, qq, mm, ii), budget)
-            closed = schmidt_for_family(FamilySpec(kind, qq, mm, ii))
+            census = census_inner_distribution(spec, budget)
+            closed = schmidt_for_family(spec)
             ok = closed.entries == census.entries
             detail = "entrywise equal" if ok else f"closed={closed.entries} census={census.entries}"
         except BudgetExceeded:
@@ -113,7 +122,7 @@ def verify_schemes(q: int | None = None, m: int | None = None, i: int | None = N
             ok, detail = False, str(exc)
         out.append((f"schmidt-vs-census {kind}({qq},{mm},{ii})", ok, detail))
     for qk, sk, qq, mm, ii in CORRESPONDENCE_ODD:
-        if q and qq != q:
+        if qq not in qs:
             continue
         qd = orc.rank_type_census(FamilySpec(qk, qq, mm, ii), budget)
         sd = census_inner_distribution(FamilySpec(sk, qq, mm, ii), budget)
@@ -121,7 +130,7 @@ def verify_schemes(q: int | None = None, m: int | None = None, i: int | None = N
             (f"correspondence-odd {qk}~{sk}({qq},{mm},{ii})", qd.entries == sd.entries, "")
         )
     for qk, ak, qq, mm, ii in CORRESPONDENCE_EVEN:
-        if q and qq != q:
+        if qq not in qs:
             continue
         qd = orc.rank_type_census(FamilySpec(qk, qq, mm, ii), budget)
         ad = census_inner_distribution(FamilySpec(ak, qq, mm, ii), budget)
@@ -134,11 +143,11 @@ def verify_schemes(q: int | None = None, m: int | None = None, i: int | None = N
             )
             ok = ok and lhs == ad.entries.get(rank, 0)
         out.append((f"correspondence-even {qk}~{ak}({qq},{mm},{ii})", ok, ""))
-    if q in (None, 2):
+    if 2 in qs:
         ad = census_inner_distribution(FamilySpec("A1", 2, 5, 2), budget)
         ok = is_proper_d_code(ad, 4) and ad.total() == dg_bound(5, 2, 2)
         out.append(("dg-bound-attained A1(2,5,2)", ok, f"|Y|={ad.total()} bound={dg_bound(5, 2, 2)}"))
-    if q in (None, 3):
+    if 3 in qs:
         ok = family_design_check(FamilySpec("S1", 3, 3, 1), 2, budget)
         out.append(("2-design S1(3,3,1)", ok, ""))
         members = list(enumerate_family(FamilySpec("S1", 3, 3, 1), budget))
@@ -212,10 +221,10 @@ def run_suite(name: str, q: int | None = None, m: int | None = None, i: int | No
     """The checks of one suite, or of every suite for 'all'.  A run whose
     inputs and budget leave no check raises OutOfRange: it verified nothing."""
     suites = {
-        "cosets": lambda: verify_cosets(q, max_m or 10, budget),
+        "cosets": lambda: verify_cosets(q, 10 if max_m is None else max_m, budget),
         "forms": lambda: verify_forms(q, budget),
         "schemes": lambda: verify_schemes(q, m, i, budget),
-        "appendix": lambda: verify_appendix(q, max_m or 4, budget),
+        "appendix": lambda: verify_appendix(q, 4 if max_m is None else max_m, budget),
         "examples": lambda: verify_examples(budget, workers),
     }
     if name != "all" and name not in suites:

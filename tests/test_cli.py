@@ -294,6 +294,35 @@ def test_verify_with_no_check_is_an_error(capsys, argv):
     assert f"verify {argv[1]}" in doc["message"]
 
 
+@pytest.mark.parametrize("argv,error", [
+    (("verify", "cosets", "--q", "0", "--max-m", "3"), "NotPrime"),
+    (("verify", "schemes", "--q", "0"), "NotPrime"),
+    (("verify", "schemes", "--q", "3", "--m", "0", "--i", "0"), "OutOfRange"),
+    (("verify", "cosets", "--q", "2", "--max-m", "0"), "OutOfRange"),
+])
+def test_verify_reads_zero_as_given(capsys, argv, error):
+    # 0 is a value, not "not given": the run refuses it instead of
+    # checking every default case
+    code, doc = run_cli(capsys, *argv)
+    assert code == 1
+    assert set(doc) == {"command", "error", "message"}
+    assert doc["error"] == error
+
+
+def test_inner_dist_both_refuses_before_the_census(capsys, monkeypatch):
+    # A families have no closed form: the refusal comes before 2^15
+    # members are classified
+    def no_census(*args):
+        raise RuntimeError("census_inner_distribution reached")
+
+    monkeypatch.setattr(cli, "census_inner_distribution", no_census)
+    code, doc = run_cli(capsys, "inner-dist", "--family", "A1", "-q", "2", "-m", "5", "-i", "4",
+                        "--method", "both")
+    assert code == 1
+    assert set(doc) == {"command", "error", "message"}
+    assert doc["error"] == "OutOfRange"
+
+
 def _references(*names):
     """(module, innermost enclosing function) of every Name or Attribute in
     src/ spelled as one of names."""

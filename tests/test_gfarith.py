@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bchforms import gfarith
+from bchforms.cyclotomic import theorem_sweep
 from bchforms.errors import EvenCharacteristic, InvalidSubfield, NotPrime, ReducibleModulus
 from bchforms.gfarith import FieldContext, SmallField, build_field, field_for, small_field
 
@@ -344,3 +345,24 @@ def test_scalar_add_neg_digitwise(q, m):
         assert s == digitwise(ctx.p, count, int(x), int(y))
         assert ctx.neg(x) == digitwise(ctx.p, count, int(x), sign=-1)
         assert ctx.sub(x, y) == digitwise(ctx.p, count, int(x), digitwise(ctx.p, count, int(y), sign=-1))
+
+
+def unfiltered_smallest_irreducible(F, degree):
+    """The search before the root filter: the Frobenius test on every
+    candidate in code order."""
+    for code in range(F.q ** degree):
+        f = gfarith.monic_poly_from_code(F, degree, code)
+        if gfarith.poly_is_irreducible(F, f):
+            return f
+
+
+# the (q, m) of the acceptance sweep, the GF(p^e) base fields and the
+# classify-form fields of the cli-cold benchmark
+IRREDUCIBLE_GRID = sorted({(p.q, p.m) for p in theorem_sweep()}
+                          | {(2, 2), (2, 3), (2, 4), (3, 2), (2, 19), (4, 9), (3, 11), (5, 7)})
+
+
+@pytest.mark.parametrize("q,m", IRREDUCIBLE_GRID)
+def test_smallest_irreducible_skips_only_reducible_candidates(q, m):
+    F = small_field(q)
+    assert gfarith.smallest_irreducible(F, m) == unfiltered_smallest_irreducible(F, m)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bchforms import kernels
+from bchforms import kernels, oracle
 from bchforms.errors import NotAnMSequence
+from bchforms.forms import TraceQuadraticForm, family_domains, family_slots
 from bchforms.schemes import FamilySpec, enumerate_family
 from bchforms.gfarith import field_for, small_field
 
@@ -139,9 +140,79 @@ def test_eval_qvec_both_paths():
             if lam_logs[s] >= 0:
                 acc = F.add_el(acc, int(rows[s][(lam_logs[s] + t * steps[s]) % n]))
         expected[t] = acc
+    index_rows = np.arange(n) * steps[:, None] % n
     out = np.zeros(n, dtype=np.int64)
-    kernels.eval_qvec(lam_logs, steps, rows, pair, q, out)
+    kernels.eval_qvec(lam_logs, index_rows, np.tile(rows, 2), pair, q, out)
     assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("q,m,i", [(2, 8, 4), (3, 6, 3), (2, 7, 4)])
+def test_eval_qvec_tables_match_reduced_formula(q, m, i):
+    # the trace route's index rows against (l + t*(q^j+1)) mod n, for
+    # every slot (the half slot first, m even) and every log l, and on
+    # members with a zero lambda; at (2,7) the steps are prime to n, so
+    # every index in [0, n) occurs
+    fld = field_for(q, m)
+    n, pair = fld.n, fld.base.add.astype(np.int64).ravel()
+    index_rows, trace_rows2 = oracle.qvec_tables(fld, i)
+    slots = family_slots(m, i)
+    assert slots[0].half == (m % 2 == 0) and len(slots) == index_rows.shape[0] == trace_rows2.shape[0]
+    t = np.arange(n)
+    out = np.empty(n, dtype=np.int64)
+    for s, slot in enumerate(slots):
+        row = fld.half_trace_vec if slot.half else fld.trace_vec
+        lam_logs = [-1] * len(slots)
+        for lam_log in range(n):
+            lam_logs[s] = lam_log
+            kernels.eval_qvec(lam_logs, index_rows, trace_rows2, pair, q, out)
+            assert np.array_equal(out, row[(lam_log + t * (q ** slot.j + 1)) % n]), (s, lam_log)
+    kernels.eval_qvec([-1] * len(slots), index_rows, trace_rows2, pair, q, out)
+    assert not out.any()
+    rng = np.random.default_rng(q * 100 + m)
+    domains = family_domains(fld, i)
+    for _ in range(50):
+        lams = [int(rng.choice(d)) for d in domains]
+        lams[int(rng.integers(len(lams)))] = 0
+        form = TraceQuadraticForm(fld, i, tuple(lams))
+        kernels.eval_qvec([int(fld.log_index[v]) for v in lams], index_rows, trace_rows2, pair, q, out)
+        assert np.array_equal(out, form.value_vec()), lams
+
+
+def test_field_inputs_are_the_read_only_plan_arrays():
+    fld = field_for(3, 4)
+    trv2, pair, neg = kernels.field_inputs(fld)
+    again = kernels.field_inputs(fld)
+    assert again[0] is trv2 and again[1] is pair
+    assert kernels._plan(trv2, pair, 3).trv2 is trv2
+    for arr in (trv2, pair):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+    # the field's own trace vector is copied, never frozen
+    assert fld.trace_vec.flags.writeable
+
+
+def test_equal_writeable_copy_gets_the_same_counts():
+    fld = field_for(3, 4)
+    trv2, pair, neg = kernels.field_inputs(fld)
+    qv = np.random.default_rng(11).integers(0, 3, fld.n).astype(np.int64)
+    copies = trv2.copy(), pair.copy()
+    assert all(c.flags.writeable for c in copies)
+    ref = shift_scan_table(qv, trv2, pair, neg)
+    expected = np.bincount(ref.ravel(), minlength=fld.n + 1)
+    assert np.array_equal(kernel_counts(qv, *copies, neg), expected)
+    assert np.array_equal(kernel_counts(qv, trv2, pair, neg), expected)
+    assert np.array_equal(kernels.coset_weight_table(qv, *copies, neg), ref)
+
+
+def test_corrupted_copy_of_plan_arrays_is_rejected():
+    fld = field_for(2, 6)
+    trv2, pair, neg = kernels.field_inputs(fld)
+    n = fld.n
+    bad = trv2.copy()
+    bad[[5, n + 5]] ^= 1  # still periodic, no longer an m-sequence
+    with pytest.raises(NotAnMSequence):
+        kernel_counts(np.zeros(n, dtype=np.int64), bad, pair, neg)
 
 
 def test_coset_weight_table_consistent_with_counts():
