@@ -1,5 +1,4 @@
-"""BCH codes as generator polynomials and as trace-evaluation codes,
-plus the punctured Reed-Muller template and the coset decomposition.
+"""BCH codes as generator polynomials and as trace-evaluation codes.
 
 Codeword coordinates are ordered by x = alpha^0, alpha^1, ..., so the
 t-th coordinate of a trace word is f(alpha^t); weight data is order
@@ -17,7 +16,6 @@ from .cyclotomic import CodeParams, bch_dimension, cyclotomic_coset
 from .errors import BchFormsError, CountMismatch, OutOfRange
 from .forms import TraceQuadraticForm
 from .gfarith import FieldContext, field_for
-from .schemes import FamilySpec, enumerate_family
 
 
 @dataclass
@@ -98,49 +96,3 @@ def trace_codeword(params: CodeParams, spec: TraceCodewordSpec) -> np.ndarray:
         word = F.add[word, spec.eps].astype(np.int64)
     return word
 
-
-def prm_code(q: int, m: int):
-    """Yield ((mu, eps), word) over all q^(m+1) PRM codewords."""
-    fld = field_for(q, m)
-    F = fld.base
-    t = np.arange(fld.n)
-    for mu in range(fld.size):
-        if mu == 0:
-            base = np.zeros(fld.n, dtype=np.int64)
-        else:
-            k = int(fld.log_index[mu])
-            base = fld.trace_vec[(t + k) % fld.n]
-        for eps in range(q):
-            word = F.add[base, eps].astype(np.int64) if eps else base
-            yield (mu, eps), word
-
-
-def coset_decomposition(params: CodeParams):
-    """Yield (form, words) per member of schemes.enumerate_family (under
-    schemes.DEFAULT_BUDGET); words generates the whole PRM coset of that
-    representative as ((mu, eps), word) pairs."""
-    members = enumerate_family(FamilySpec.quadratic(params.q, params.m, params.i))
-    F = field_for(params.q, params.m).base
-
-    def coset_words(form: TraceQuadraticForm):
-        qv = form.value_vec()
-        for (mu, eps), prm_word in prm_code(params.q, params.m):
-            yield (mu, eps), F.add[qv, prm_word].astype(np.int64)
-
-    for form in members:
-        yield form, coset_words(form)
-
-
-def word_to_polynomial(word: np.ndarray) -> list[int]:
-    return gfarith.poly_trim([int(c) for c in word])
-
-
-def word_in_code(word: np.ndarray, code: CyclicCode) -> bool:
-    """Membership by polynomial-division residue against the generator."""
-    F = code.field.base
-    _, rem = gfarith.poly_divmod(F, word_to_polynomial(word), code.generator)
-    return not rem
-
-
-def cyclic_shift(word: np.ndarray, k: int = 1) -> np.ndarray:
-    return np.roll(word, k)

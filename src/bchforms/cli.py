@@ -40,13 +40,33 @@ def _check_field(q: int, m: int, budget: EnumerationBudget) -> None:
     budget.check_field(q ** m)
 
 
+def _count(n: int) -> int:
+    """n, once its decimal form is known to fit Python's int-to-str digit
+    limit; past the limit an OutOfRange, raised before any conversion is
+    tried.  The limit stays: conversion time is quadratic in the digits."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
+        raise OutOfRange(f"a count has more than {limit} decimal digits, Python's int-to-str limit")
+    return n
+
+
+def _table(counts: dict) -> dict:
+    """A count table as JSON in key order: "r,t" for a rank/type key, else decimal strings."""
+    return {(f"{k[0]},{k[1]}" if isinstance(k, tuple) else str(_count(k))): str(_count(v))
+            for k, v in sorted(counts.items())}
+
+
+def _enumerator(enum) -> dict:
+    return {"length": _count(enum.length), "counts": _table(enum.counts)}
+
+
 def cmd_params(args, budget):
     p = cyc.code_params(args.q, args.m, args.i)
-    return {
+    return {k: _count(v) for k, v in {
         "q": p.q, "m": p.m, "i": p.i, "length": p.length,
         "delta": p.delta, "delta_i": p.delta_i,
         "dimension": p.dimension, "bose": p.bose_distance,
-    }
+    }.items()}
 
 
 def cmd_coset_leaders(args, budget):
@@ -63,18 +83,18 @@ def cmd_genpoly(args, budget):
 
 def cmd_enumerator(args, budget):
     params = cyc.code_params(args.q, args.m, args.i)
-    payload: dict = {"delta_i": params.delta_i, "dimension": params.dimension}
+    payload: dict = {"delta_i": _count(params.delta_i), "dimension": _count(params.dimension)}
     odd = args.q % 2 == 1
     if args.mode in ("closed", "both"):
         if odd:
-            payload["closed"] = wts.code_enumerator_odd(params).to_json()
+            payload["closed"] = _enumerator(wts.code_enumerator_odd(params))
         else:
             d, witness = wts.min_distance_even(params, budget)
-            payload["closed"] = {"min_distance": d, "witness": witness}
+            payload["closed"] = {"min_distance": _count(d), "witness": witness}
     if args.mode in ("oracle", "both"):
         dist = orc.trace_route_weights(params, budget, args.workers)
-        payload["oracle"] = dist.to_json()
-        payload["oracle_min_distance"] = dist.min_positive_weight()
+        payload["oracle"] = _enumerator(dist)
+        payload["oracle_min_distance"] = _count(dist.min_positive_weight())
     if args.mode == "both":
         if odd:
             payload["match"] = payload["closed"] == payload["oracle"]
@@ -107,12 +127,12 @@ def cmd_classify_form(args, budget):
 
 def cmd_inner_dist(args, budget):
     spec = FamilySpec(args.family, args.q, args.m, args.i)
-    payload: dict = {"family": args.family, "size": spec.size}
+    payload: dict = {"family": args.family, "size": _count(spec.size)}
     # the closed form first: it refuses a family it has no formula for
     # before the census scans that family
-    closed = schmidt_for_family(spec).to_json() if args.method in ("closed", "both") else None
+    closed = _table(schmidt_for_family(spec).entries) if args.method in ("closed", "both") else None
     if args.method in ("census", "both"):
-        payload["census"] = census_inner_distribution(spec, budget).to_json()
+        payload["census"] = _table(census_inner_distribution(spec, budget).entries)
     if closed is not None:
         payload["closed"] = closed
     if args.method == "both":
@@ -123,7 +143,7 @@ def cmd_inner_dist(args, budget):
 
 
 def cmd_dg_bound(args, budget):
-    return {"n": args.n, "d": args.d, "q": args.q, "bound": str(dg_bound(args.n, args.d, args.q))}
+    return {"n": args.n, "d": args.d, "q": args.q, "bound": str(_count(dg_bound(args.n, args.d, args.q)))}
 
 
 def cmd_design_check(args, budget):
@@ -134,12 +154,12 @@ def cmd_design_check(args, budget):
 def cmd_appendix_table(args, budget):
     rt = RankType(args.rank, args.type)
     closed = wts.appendix_frequency_tables(args.q, args.m, rt, args.c_class)
-    payload = {"closed": {str(k): str(v) for k, v in sorted(closed.items())}}
+    payload = {"closed": _table(closed)}
     if not args.no_oracle:
         from .forms import canonical_form
 
         counted = orc.appendix_census(args.q, args.m, canonical_form(args.q, args.m, rt), args.c_class, budget)
-        payload["oracle"] = {str(k): str(v) for k, v in sorted(counted.items())}
+        payload["oracle"] = _table(counted)
         payload["match"] = closed == counted
         if not payload["match"]:
             raise CommandMismatch(payload)

@@ -9,8 +9,8 @@ Two concrete form flavours exist:
 * ``CoefficientForm`` — Q(x) = x^T C x on the plain vector space GF(q)^m;
   used for canonical forms and as oracle material.
 
-Both expose the same small surface (``values_by_index``, ``gram``) so the
-classification code does not care which one it gets.
+Both expose the same small surface (``values_by_index``, ``field_q``,
+``m`` and ``q``) so the classification code does not care which one it gets.
 """
 
 from __future__ import annotations
@@ -246,11 +246,9 @@ def _row_reduce(M, F: SmallField) -> tuple[list[list[int]], list[int]]:
     return A, pivots
 
 
-def bilinear_rank(M: GramMatrix | np.ndarray, field_q: SmallField | None = None) -> int:
+def bilinear_rank(M: GramMatrix) -> int:
     """Matrix rank over GF(q)."""
-    if isinstance(M, GramMatrix):
-        return len(M.reduced[1])
-    return len(_row_reduce(M, field_q)[1])
+    return len(M.reduced[1])
 
 
 def radical_basis(M: GramMatrix) -> list[list[int]]:

@@ -394,15 +394,6 @@ class FieldContext:
     def n(self) -> int:
         return self.size - 1
 
-    # -- element coordinates --------------------------------------------
-
-    def coeff_vector(self, x: int) -> list[int]:
-        """Coordinates of x over GF(q) in the polynomial basis."""
-        return digits(x, self.q, self.m).tolist()
-
-    def from_coeffs(self, coeffs) -> int:
-        return sum(int(c) * self.q ** i for i, c in enumerate(coeffs))
-
     # -- ring operations -------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
@@ -411,18 +402,10 @@ class FieldContext:
     def neg(self, x: int) -> int:
         return digitwise(0, x, self.p, -1)
 
-    def sub(self, x: int, y: int) -> int:
-        return digitwise(x, y, self.p, -1)
-
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
         return int(self.exp_index[(int(self.log_index[x]) + int(self.log_index[y])) % self.n])
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return int(self.exp_index[(-int(self.log_index[x])) % self.n])
 
     def pow(self, x: int, k: int) -> int:
         if x == 0:
@@ -454,43 +437,18 @@ class FieldContext:
 
     # -- traces -----------------------------------------------------------
 
-    def _frob_sum(self, x: int, terms: int, step: int = 1) -> int:
-        """sum_{j<terms} x^(q^(step*j))."""
+    def _frob_sum(self, x: int, terms: int) -> int:
+        """sum_{j<terms} x^(q^j)."""
         acc = 0
         for _ in range(terms):
             acc = self.add(acc, x)
-            x = self.frob(x, step)
+            x = self.frob(x)
         return acc
 
     def _frob_sum_matrix(self, terms: int) -> np.ndarray:
         """GF(p)-matrix of x -> sum_{j<terms} x^(q^j); column k is the image of p^k."""
         count = self.e * self.m
         return digits([self._frob_sum(self.p ** k, terms) for k in range(count)], self.p, count).T
-
-    def trace_to(self, x: int, subfield_degree: int = 1) -> int:
-        """Relative trace from GF(q^m) down to GF(q^subfield_degree).
-
-        subfield_degree must be 1 or m/2 (m even); the result is returned as
-        a GF(q^m) index, which for degree 1 is also the GF(q) value.
-        """
-        d = subfield_degree
-        if d == self.m:
-            return x
-        if d != 1 and (self.m % 2 or d != self.m // 2):
-            raise InvalidSubfield(f"no trace target GF(q^{d}) in this tower")
-        return self._frob_sum(x, self.m // d, d)
-
-    def trace_to_base(self, x: int) -> int:
-        return self.trace_to(x, 1)
-
-    def subfield_trace_to_base(self, y: int) -> int:
-        """Trace of the half field GF(q^(m/2)) down to GF(q); y must lie in it."""
-        if not self.in_half(y):
-            raise InvalidSubfield("element is not in GF(q^(m/2))")
-        acc = self._frob_sum(y, self.m // 2)
-        if not self.in_base(acc):
-            raise BchFormsError("half-field trace left GF(q)")  # internal bug
-        return acc
 
     # -- whole-orbit value tables -----------------------------------------
 

@@ -164,14 +164,6 @@ def rank_type_census(spec: FamilySpec, budget: EnumerationBudget = DEFAULT_BUDGE
     return _tally(spec, members)
 
 
-def coset_weight_distribution(field: FieldContext, form) -> dict[int, int]:
-    """Brute-force weight multiset of one PRM coset (q^(m+1) words)."""
-    qv = form.value_vec() if hasattr(form, "value_vec") else form
-    counts = np.zeros(field.n + 1, dtype=np.int64)
-    kernels.coset_weight_counts(np.asarray(qv, dtype=np.int64), *kernels.field_inputs(field), counts)
-    return {w: int(c) for w, c in enumerate(counts) if c}
-
-
 def appendix_census(q: int, m: int, coeff_form: CoefficientForm, c_class: str,
                     budget: EnumerationBudget = DEFAULT_BUDGET) -> dict[int, int]:
     """Frequencies of N(Q+L+c) over all q^m linear functions L, with c

@@ -136,20 +136,9 @@ class InnerDistribution:
     def total(self) -> int:
         return sum(self.entries.values())
 
-    def min_nonzero_rank(self) -> int | None:
-        ranks = [self._rank(k) for k, v in self.entries.items() if v and self._rank(k) > 0]
-        return min(ranks) if ranks else None
-
     @staticmethod
     def _rank(key) -> int:
         return key if isinstance(key, int) else key[0]
-
-    def to_json(self) -> dict:
-        out = {}
-        for k, v in sorted(self.entries.items(), key=lambda kv: (self._rank(kv[0]), str(kv[0]))):
-            name = str(k) if isinstance(k, int) else f"{k[0]},{k[1]}"
-            out[name] = str(v)
-        return out
 
 
 def _bilinear_gram(field: FieldContext, i: int, lambdas: tuple[int, ...]) -> GramMatrix:
@@ -412,13 +401,13 @@ def _restrict(F, gram: np.ndarray, rows: list[list[int]]) -> tuple:
 def t_design_check(members, t: int, q: int, m: int) -> bool:
     """Combinatorial t-design test in Sym(m, q): the number of members
     extending each symmetric form on each t-dimensional subspace must be one
-    constant.  `members` is an iterable of GramMatrix or raw m x m arrays."""
+    constant.  `members` is an iterable of GramMatrix."""
     if not 0 <= t <= m:
         raise OutOfRange(f"t={t} out of [0, m={m}]")
     if t == 0:
         return True
     F = small_field(q)
-    grams = [g.entries if isinstance(g, GramMatrix) else np.asarray(g) for g in members]
+    grams = [g.entries for g in members]
     n_forms_on_u = q ** (t * (t + 1) // 2)
     constant = None
     for rows in subspace_representatives(q, m, t):

@@ -110,6 +110,8 @@ def verify_schemes(q: int | None = None, m: int | None = None, i: int | None = N
     if None not in (q, m, i):
         schmidt_cases = [("S1" if m % 2 else "S2", q, m, i)]
     for kind, qq, mm, ii in schmidt_cases:
+        if qq not in qs:
+            continue
         spec = FamilySpec(kind, qq, mm, ii)  # a family that does not exist is an input error
         try:
             census = census_inner_distribution(spec, budget)
@@ -155,7 +157,9 @@ def verify_schemes(q: int | None = None, m: int | None = None, i: int | None = N
         corrupted += [g for g in members if not g.entries.any()]
         ok = not t_design_check(corrupted, 2, 3, 3)
         out.append(("2-design negative control", ok, "corrupted family must fail"))
-    for qq in (3, 5, 7, 9):
+    for qq in (3, 5, 7, 9):  # all four by default, beyond the fields of _qs(None)
+        if q not in (None, qq):
+            continue
         ok = all(
             wts.intersection_table(qq, b) == wts.intersection_table_census(qq, b)
             for b in range(qq)
@@ -184,30 +188,31 @@ def verify_appendix(q: int | None = None, max_m: int = 4,
     return out
 
 
-def verify_examples(budget: EnumerationBudget = DEFAULT_BUDGET,
+def verify_examples(q: int | None = None, budget: EnumerationBudget = DEFAULT_BUDGET,
                     workers: int | None = None) -> list[Check]:
     """The worked examples: closed enumerators against full enumeration."""
     out: list[Check] = []
-    for q, m, i in [(3, 3, 1), (3, 4, 2)]:
-        params = cyc.code_params(q, m, i)
-        if q ** params.dimension > budget.max_codewords:
+    qs = _qs(q)
+    for qq, m, i in [(3, 3, 1), (3, 4, 2)]:
+        params = cyc.code_params(qq, m, i)
+        if qq not in qs or qq ** params.dimension > budget.max_codewords:
             continue
         closed = wts.code_enumerator_odd(params)
         brute = orc.trace_route_weights(params, budget, workers)
         out.append(
-            (f"enumerator-closed-vs-oracle ({q},{m},{i})", closed.counts == brute.counts, "")
+            (f"enumerator-closed-vs-oracle ({qq},{m},{i})", closed.counts == brute.counts, "")
         )
-    for q, m, i in [(2, 6, 2), (2, 6, 3)]:
-        params = cyc.code_params(q, m, i)
-        if q ** params.dimension > budget.max_codewords:
+    for qq, m, i in [(2, 6, 2), (2, 6, 3)]:
+        params = cyc.code_params(qq, m, i)
+        if qq not in qs or qq ** params.dimension > budget.max_codewords:
             continue
         d, witness = wts.min_distance_even(params, budget)
         brute = orc.trace_route_weights(params, budget, workers)
         ok = d == params.delta_i == brute.min_positive_weight() and witness["weight"] == d
-        out.append((f"min-distance-even ({q},{m},{i})", ok, f"d={d}"))
+        out.append((f"min-distance-even ({qq},{m},{i})", ok, f"d={d}"))
     # one generator-vs-trace route agreement
     params = cyc.code_params(2, 4, 1)
-    if 2 ** params.dimension <= budget.max_codewords:
+    if 2 in qs and 2 ** params.dimension <= budget.max_codewords:
         code = generator_polynomial(2, 4, params.delta_i)
         ok = (orc.generator_route_weights(code, budget).counts
               == orc.trace_route_weights(params, budget, workers).counts)
@@ -225,7 +230,7 @@ def run_suite(name: str, q: int | None = None, m: int | None = None, i: int | No
         "forms": lambda: verify_forms(q, budget),
         "schemes": lambda: verify_schemes(q, m, i, budget),
         "appendix": lambda: verify_appendix(q, 4 if max_m is None else max_m, budget),
-        "examples": lambda: verify_examples(budget, workers),
+        "examples": lambda: verify_examples(q, budget, workers),
     }
     if name != "all" and name not in suites:
         raise OutOfRange(f"unknown suite {name}; pick from {sorted(suites)} or 'all'")

@@ -60,12 +60,6 @@ class WeightEnumerator:
         for w, c in other.counts.items():
             self.counts[w] = self.counts.get(w, 0) + factor * c
 
-    def to_json(self) -> dict:
-        return {
-            "length": self.length,
-            "counts": {str(w): str(c) for w, c in sorted(self.counts.items())},
-        }
-
 
 def _frequencies(pairs) -> dict[int, int]:
     """Merge (key, frequency) pairs, dropping zeros; a negative frequency raises."""

@@ -5,17 +5,26 @@ from bchforms import bchcode, gfarith
 from bchforms.bchcode import (
     CyclicCode,
     TraceCodewordSpec,
-    coset_decomposition,
-    cyclic_shift,
     generator_polynomial,
     minimal_polynomial,
-    prm_code,
     trace_codeword,
-    word_in_code,
 )
 from bchforms.cyclotomic import code_params
 from bchforms.forms import family_size
 from bchforms.gfarith import field_for, poly_is_irreducible
+from bchforms.schemes import FamilySpec, family_lambdas
+
+
+def in_code(word: np.ndarray, code: CyclicCode) -> bool:
+    """Membership: the word polynomial leaves no remainder modulo the generator."""
+    _, rem = gfarith.poly_divmod(code.field.base, gfarith.poly_trim(word.tolist()), code.generator)
+    return not rem
+
+
+def coset_words(params, lambdas) -> list[np.ndarray]:
+    """The q^(m+1) words Q + Tr(mu x) + eps of the PRM coset of one member."""
+    return [trace_codeword(params, TraceCodewordSpec(lambdas, mu, eps))
+            for mu in range(params.q ** params.m) for eps in range(params.q)]
 
 
 def test_minimal_polynomial_s0():
@@ -54,18 +63,12 @@ def test_generator_divides_xn_minus_1():
         assert not rem
 
 
-def test_prm_enumeration_gf8():
-    counts = {}
-    for _, word in prm_code(2, 3):
-        w = int(np.count_nonzero(word))
-        counts[w] = counts.get(w, 0) + 1
-    assert counts == {0: 1, 3: 7, 4: 7, 7: 1}
-
-
 def test_prm_nonzero_mu_weight():
-    for (mu, eps), word in prm_code(3, 2):
-        if mu != 0 and eps == 0:
-            assert int(np.count_nonzero(word)) == 9 - 3
+    # Tr(mu x) with mu != 0 vanishes on q^(m-1) field elements, zero included
+    params = code_params(3, 3, 1)
+    for mu in range(1, 27):
+        word = trace_codeword(params, TraceCodewordSpec((0,), mu, 0))
+        assert int(np.count_nonzero(word)) == 27 - 9
 
 
 def test_trace_codeword_trivial_specs():
@@ -91,8 +94,8 @@ def test_trace_codewords_live_in_generator_code():
                 lambdas.append(int(rng.choice(opts)))
             spec = TraceCodewordSpec(tuple(lambdas), int(rng.integers(fld.size)), int(rng.integers(q)))
             word = trace_codeword(params, spec)
-            assert word_in_code(word, code)
-            assert word_in_code(cyclic_shift(word), code)
+            assert in_code(word, code)
+            assert in_code(np.roll(word, 1), code)
 
 
 def test_trace_codeword_weight_in_example_support():
@@ -115,29 +118,28 @@ def test_trace_and_generator_routes_same_code():
     code = generator_polynomial(2, 4, params.delta_i)
     assert code.dimension == params.dimension
     seen = set()
-    for form, words in coset_decomposition(params):
-        for (_mu, _eps), word in words:
+    for lambdas in family_lambdas(FamilySpec.quadratic(2, 4, 1)):
+        for word in coset_words(params, lambdas):
             seen.add(word.tobytes())
-            assert word_in_code(word, code)
-            assert word_in_code(cyclic_shift(word), code)
+            assert in_code(word, code)
+            assert in_code(np.roll(word, 1), code)
     assert len(seen) == 2 ** params.dimension
 
 
 def test_coset_decomposition_structure():
     params = code_params(3, 3, 1)
-    cosets = list(coset_decomposition(params))
-    assert len(cosets) == family_size(3, 3, 1) == 27
+    members = list(family_lambdas(FamilySpec.quadratic(3, 3, 1)))
+    assert len(members) == family_size(3, 3, 1) == 27
     all_words = set()
-    for form, words in cosets:
-        coset_words = {w.tobytes() for _, w in words}
-        assert len(coset_words) == 81
-        all_words |= coset_words
+    for lambdas in members:
+        words = {w.tobytes() for w in coset_words(params, lambdas)}
+        assert len(words) == 81
+        all_words |= words
     assert len(all_words) == 3 ** 7  # pairwise disjoint union
 
 
 def test_coset_decomposition_2_6_2_sizes():
     params = code_params(2, 6, 2)
-    cosets = list(coset_decomposition(params))
-    assert len(cosets) == 8
-    _, words = cosets[3]
-    assert sum(1 for _ in words) == 2 ** 7
+    members = list(family_lambdas(FamilySpec.quadratic(2, 6, 2)))
+    assert len(members) == 8
+    assert len({w.tobytes() for w in coset_words(params, members[3])}) == 2 ** 7

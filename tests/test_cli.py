@@ -1,8 +1,11 @@
 import ast
 import contextlib
+import functools
 import io
 import json
 import os
+import re
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -10,9 +13,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bchforms
 from bchforms import cli, kernels, oracle, schemes, weights
 from bchforms.bchcode import generator_polynomial
 from bchforms.cyclotomic import code_params, coset_leaders_geq
+from bchforms.errors import OutOfRange
 from bchforms.schemes import FamilySpec, census_inner_distribution, dg_bound
 from bchforms.weights import appendix_frequency_tables, code_enumerator_odd
 from bchforms.forms import RankType
@@ -64,7 +69,10 @@ def test_genpoly(capsys):
 def test_enumerator_closed(capsys):
     code, doc = run_cli(capsys, "enumerator", "-q", "3", "-m", "3", "-i", "1", "--mode", "closed")
     assert code == 0
-    assert doc["payload"]["closed"] == code_enumerator_odd(code_params(3, 3, 1)).to_json()
+    lib = code_enumerator_odd(code_params(3, 3, 1))
+    assert doc["payload"]["closed"] == {
+        "length": 26, "counts": {str(w): str(c) for w, c in sorted(lib.counts.items())},
+    }
     assert doc["payload"]["closed"]["counts"]["14"] == "390"
 
 
@@ -95,8 +103,9 @@ def test_inner_dist_both(capsys):
         capsys, "inner-dist", "--family", "S1", "-q", "3", "-m", "3", "-i", "1", "--method", "both"
     )
     assert code == 0
-    lib = census_inner_distribution(FamilySpec("S1", 3, 3, 1)).to_json()
-    assert doc["payload"]["census"] == lib
+    lib = census_inner_distribution(FamilySpec("S1", 3, 3, 1))
+    assert doc["payload"]["census"] == {f"{r},{t}": str(c) for (r, t), c in sorted(lib.entries.items())}
+    assert list(doc["payload"]["census"]) == ["0,1", "3,-1", "3,1"]
     assert doc["payload"]["match"] is True
 
 
@@ -132,10 +141,37 @@ def test_verify_suite(capsys):
     assert doc["payload"]["passed"] > 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "schemes", "--q", "3"),
+    ("verify", "examples", "--q", "3", "--budget", "small"),
+])
+def test_verify_q_filters_every_check(capsys, argv):
+    # every check a --q 3 run makes is a q = 3 check: its name gives q as
+    # "q=3" or as the first of (q,m,i), and only the design negative control
+    # (on S1(3,3,1)) names no q
+    code, doc = run_cli(capsys, *argv)
+    assert code == 0
+    names = [c["name"] for c in doc["payload"]["checks"]]
+    assert names
+    for name in names:
+        qs = re.findall(r"q=(\d+)|\((\d+),\d+,\d+\)", name)
+        assert {a or b for a, b in qs} == ({"3"} if name != "2-design negative control" else set()), name
+
+
 def test_verify_small_budget(capsys):
     code, doc = run_cli(capsys, "verify", "examples", "--budget", "small")
     assert code == 0
     assert doc["payload"]["failed"] == 0
+
+
+# valid calls whose exact counts have more decimal digits than Python's
+# int-to-str limit (4300 by default)
+LONG_COUNTS = [
+    ("dg-bound", "-n", "200", "-d", "1", "-q", "2"),
+    ("params", "-q", "2", "-m", "15000", "-i", "7499"),
+    ("appendix-table", "-q", "2", "-m", "15000", "--rank", "1", "--type", "1", "--c-class", "zero",
+     "--no-oracle"),
+]
 
 
 @pytest.mark.parametrize("argv", [
@@ -160,12 +196,26 @@ def test_verify_small_budget(capsys):
     ("inner-dist", "--family", "A1", "-q", "2", "-m", "3", "-i", "3", "--method", "census"),
     ("design-check", "--family", "S1", "-q", "3", "-m", "3", "-i", "1", "-t", "-1"),
     ("design-check", "--family", "S1", "-q", "3", "-m", "3", "-i", "1", "-t", "4"),
+    *LONG_COUNTS,
 ])
 def test_bad_input_is_one_json_error(capsys, argv):
     code, doc = run_cli(capsys, *argv)
     assert code == 1
     assert set(doc) == {"command", "error", "message"}
     assert doc["error"] in ("OutOfRange", "NotPrime")
+
+
+def test_count_refuses_exactly_past_the_digit_limit(monkeypatch):
+    # the refusal compares with 10^limit, names the limit and never
+    # converts the count (LONG_COUNTS are the CLI calls that reach it)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 5, raising=False)
+    for n in (0, 99999, -99999, 2 ** 15):
+        assert cli._count(n) == n
+    for n in (10 ** 5, -10 ** 5, 2 ** 17, 10 ** 5000):
+        with pytest.raises(OutOfRange, match="more than 5 decimal digits"):
+            cli._count(n)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)  # no limit
+    assert cli._count(10 ** 5000) == 10 ** 5000
 
 
 def test_classify_form_field_budget(capsys, monkeypatch):
@@ -323,19 +373,28 @@ def test_inner_dist_both_refuses_before_the_census(capsys, monkeypatch):
     assert doc["error"] == "OutOfRange"
 
 
+SRC = Path(cli.__file__).parent
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+@functools.lru_cache(maxsize=None)
+def _name_uses() -> tuple:
+    """(module, innermost enclosing function, name) of every Name and
+    Attribute in src/, one parse per module."""
+    def walk(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Name, ast.Attribute)):
+                yield module, owner, child.id if isinstance(child, ast.Name) else child.attr
+            yield from walk(child, module, child.name if isinstance(child, FUNCTION) else owner)
+
+    return tuple(use for path in sorted(SRC.glob("*.py"))
+                 for use in walk(ast.parse(path.read_text()), path.stem, None))
+
+
 def _references(*names):
     """(module, innermost enclosing function) of every Name or Attribute in
     src/ spelled as one of names."""
-    refs = []
-    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        defs = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for node in ast.walk(tree):
-            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if isinstance(node, (ast.Name, ast.Attribute)) and name in names:
-                owners = [f for f in defs if f.lineno <= node.lineno <= f.end_lineno]
-                refs.append((path.stem, max(owners, key=lambda f: f.lineno).name if owners else None))
-    return refs
+    return [(module, owner) for module, owner, name in _name_uses() if name in names]
 
 
 def test_family_domains_has_one_reader():
@@ -353,11 +412,30 @@ def test_budget_has_one_reader():
     assert callers and {module for module, _ in callers} == {"cli"}
 
 
+# definitions kept although src/ does not use them, with the reason
+UNREFERENCED_ALLOWED = {("kernels", "use_numba"): "read by perfbench until ROADMAP item 1"}
+
+
+def test_src_holds_no_test_only_code():
+    # every function, method and class in src/ is used by src/ outside its
+    # own body or exported in bchforms.__all__: a definition only tests
+    # reach is a second way to do a job, so its tests belong on the
+    # production path instead
+    defined = sorted({(path.stem, node.name) for path in SRC.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, (*FUNCTION, ast.ClassDef))})
+    unused = [(module, name) for module, name in defined
+              if not (name.startswith("__") and name.endswith("__"))
+              and name not in bchforms.__all__
+              and (module, name) not in UNREFERENCED_ALLOWED
+              and all(ref == (module, name) for ref in _references(name))]
+    assert not unused, f"defined in src/ but used only outside it: {unused}"
+
+
 def test_package_has_no_assert():
     # result guards must raise a typed error that survives python -O, and
     # every raise names a BchFormsError, not a bare ValueError
-    src = Path(cli.__file__).parent
-    for path in sorted(src.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             where = f"{path.name}:{getattr(node, 'lineno', 0)}"
             assert not isinstance(node, ast.Assert), where

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bchforms import oracle, weights
+from bchforms import kernels, oracle, weights
 from bchforms.cyclotomic import code_params
 from bchforms.errors import EvenCharacteristic, OutOfRange, RankZero
 from bchforms.forms import RankType, all_rank_types, canonical_form, classify_quadratic
@@ -18,6 +18,14 @@ from bchforms.weights import (
     prm_enumerator,
 )
 
+def coset_weights(fld, qv) -> dict[int, int]:
+    """Weight multiset of the PRM coset of the value vector qv, by the
+    exhaustive coset kernel (all q^(m+1) words)."""
+    counts = np.zeros(fld.n + 1, dtype=np.int64)
+    kernels.coset_weight_counts(np.asarray(qv, dtype=np.int64), *kernels.field_inputs(fld), counts)
+    return {w: int(c) for w, c in enumerate(counts) if c}
+
+
 EXAMPLE_331 = {0: 1, 14: 390, 15: 312, 17: 520, 18: 260, 20: 546, 21: 156, 26: 2}
 
 EXAMPLE_342 = {
@@ -30,17 +38,12 @@ EXAMPLE_342 = {
 def test_prm_enumerator_examples():
     assert prm_enumerator(2, 3).counts == {0: 1, 3: 7, 4: 7, 7: 1}
     assert prm_enumerator(3, 3).counts == {0: 1, 17: 52, 18: 26, 26: 2}
-    for q, m in [(2, 4), (3, 2), (4, 2), (5, 1)]:
+    for q, m in [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 1)]:
         enum = prm_enumerator(q, m)
         assert enum.total() == q ** (m + 1)
-        # cross-check against actual enumeration
-        from bchforms.bchcode import prm_code
-
-        counts = {}
-        for _, word in prm_code(q, m):
-            w = int(np.count_nonzero(word))
-            counts[w] = counts.get(w, 0) + 1
-        assert enum.counts == counts, (q, m)
+        # cross-check against actual enumeration: the PRM code is the coset of Q = 0
+        fld = field_for(q, m)
+        assert enum.counts == coset_weights(fld, np.zeros(fld.n)), (q, m)
 
 
 def test_coset_enumerator_odd_example():
@@ -85,7 +88,7 @@ def test_coset_enumerators_every_rank_type():
             for rt in all_rank_types(q, m):
                 qv = canonical_form(q, m, rt).values_by_index()[fld.exp_index]
                 closed = coset_enumerator_odd(q, m, rt) if q % 2 else coset_enumerator_even(q, m, rt)
-                assert closed.counts == oracle.coset_weight_distribution(fld, qv), (q, m, rt)
+                assert closed.counts == coset_weights(fld, qv), (q, m, rt)
             m += 1
 
 
@@ -101,7 +104,7 @@ def test_coset_enumerators_match_bruteforce_over_families():
             if rt.rank == 0 or rt in seen:
                 continue
             seen.add(rt)
-            brute = oracle.coset_weight_distribution(fld, form)
+            brute = coset_weights(fld, form.value_vec())
             closed = (
                 coset_enumerator_odd(q, m, rt) if q % 2 else coset_enumerator_even(q, m, rt)
             )
