@@ -18,7 +18,7 @@ from . import oracle as orc
 from . import weights as wts
 from .bchcode import generator_polynomial
 from .errors import BchFormsError, OutOfRange
-from .forms import RankType, TraceQuadraticForm, classify_quadratic, polarize
+from .forms import RankType, TraceQuadraticForm, classify_quadratic, family_exponent, polarize
 from .gfarith import field_for
 from .oracle import EnumerationBudget
 from .schemes import FamilySpec, census_inner_distribution, dg_bound, family_design_check, schmidt_for_family
@@ -40,14 +40,34 @@ def _check_field(q: int, m: int, budget: EnumerationBudget) -> None:
     budget.check_field(q ** m)
 
 
+def _digit_limit() -> int:
+    """Python's int-to-str digit limit, 0 for none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_many_digits(limit: int) -> OutOfRange:
+    return OutOfRange(f"a count has more than {limit} decimal digits, Python's int-to-str limit")
+
+
 def _count(n: int) -> int:
     """n, once its decimal form is known to fit Python's int-to-str digit
     limit; past the limit an OutOfRange, raised before any conversion is
     tried.  The limit stays: conversion time is quadratic in the digits."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
-        raise OutOfRange(f"a count has more than {limit} decimal digits, Python's int-to-str limit")
+        raise _too_many_digits(limit)
     return n
+
+
+def _check_power(q: int, e: int, parts: int = 1) -> None:
+    """Refuse as _count would once q^e / parts >= 10^limit, before the counts
+    behind it are computed.  Far past the limit the exponent decides, since
+    q^e >= 2^(e (bitlen(q) - 1)); nearer, q^e has under twice the bits of
+    parts * 10^limit and is compared exactly."""
+    limit = _digit_limit()
+    bar = parts * 10 ** limit
+    if limit and (e * (q.bit_length() - 1) >= bar.bit_length() or q ** e >= bar):
+        raise _too_many_digits(limit)
 
 
 def _table(counts: dict) -> dict:
@@ -87,6 +107,9 @@ def cmd_enumerator(args, budget):
     odd = args.q % 2 == 1
     if args.mode in ("closed", "both"):
         if odd:
+            # the q^dim words fall on n + 1 weights, so some count is at
+            # least q^dim / (n + 1)
+            _check_power(args.q, params.dimension, params.length + 1)
             payload["closed"] = _enumerator(wts.code_enumerator_odd(params))
         else:
             d, witness = wts.min_distance_even(params, budget)
@@ -127,6 +150,7 @@ def cmd_classify_form(args, budget):
 
 def cmd_inner_dist(args, budget):
     spec = FamilySpec(args.family, args.q, args.m, args.i)
+    _check_power(spec.q, family_exponent(spec.m, spec.i))
     payload: dict = {"family": args.family, "size": _count(spec.size)}
     # the closed form first: it refuses a family it has no formula for
     # before the census scans that family

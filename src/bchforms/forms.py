@@ -54,9 +54,14 @@ def family_domains(field: FieldContext, i: int) -> list[list[int]]:
             for s in family_slots(field.m, i)]
 
 
+def family_exponent(m: int, i: int) -> int:
+    """e with |Q1| = |Q2| = q^e: e = m(i-(m-3)/2)."""
+    return m * (2 * i - m + 3) // 2
+
+
 def family_size(q: int, m: int, i: int) -> int:
-    """|Q1| = |Q2| = q^(m(i-(m-3)/2))."""
-    return q ** (m * (2 * i - m + 3) // 2)
+    """|Q1| = |Q2| = q^family_exponent(m, i)."""
+    return q ** family_exponent(m, i)
 
 
 @dataclass(frozen=True)

@@ -412,9 +412,9 @@ class FieldContext:
             return 0 if k > 0 else 1
         return int(self.exp_index[(int(self.log_index[x]) * k) % self.n])
 
-    def frob(self, x: int, j: int = 1) -> int:
-        """x^(q^j)."""
-        return self.pow(x, self.q ** j)
+    def frob(self, x: int) -> int:
+        """x^q."""
+        return self.pow(x, self.q)
 
     def in_base(self, x: int) -> bool:
         return x < self.q

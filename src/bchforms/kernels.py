@@ -1,19 +1,20 @@
 """Hot counting kernels behind the exhaustive oracles (numpy only).
 
 ``walsh_table`` is a q-ary Walsh transform over GF(q)^m.  Starting from
-A[v, x] = [f(x) = v], m rounds, each a q x q exchange along one
-coordinate axis, give
+A[x, v] = [f(x) = v], rounds that each transform a group of k coordinates
+with one float32 matmul against a 0/1 matrix give
 
     T[v, l] = #{x in GF(q)^m : f(x) + l.x = v}
 
-for every GF(q)-linear functional l, in O(m q^(m+2)) exact integer
-operations.  ``coset_weight_counts`` histograms the q^(m+1) words
-Q(x) + Tr(mu x) + eps of one PRM coset from it: mu -> Tr(mu .) runs over
-all linear functionals, so the coset is {f + l.x + eps}, and the word
-(l, eps) has weight n - (T[-eps, l] - [eps = 0]).  This is the q-ary form
-of reading a first-order Reed-Muller coset's weights off its Walsh
-spectrum (MacWilliams & Sloane, The Theory of Error-Correcting Codes,
-ch. 14).
+for every GF(q)-linear functional l: ceil(m/k) rounds of q^(m+k+2)
+multiply-adds on q^(m+1) entries, exact because every value is a count of
+at most q^m <= 2^24 points.  ``coset_weight_counts`` histograms the
+q^(m+1) words Q(x) + Tr(mu x) + eps of one PRM coset from it:
+mu -> Tr(mu .) runs over all linear functionals, so the coset is
+{f + l.x + eps}, and the word (l, eps) has weight
+n - (T[-eps, l] - [eps = 0]).  This is the q-ary form of reading a
+first-order Reed-Muller coset's weights off its Walsh spectrum
+(MacWilliams & Sloane, The Theory of Error-Correcting Codes, ch. 14).
 
 The coordinates of x = alpha^t are read from the trace vector itself,
 x_b = trv[t+b] for b < m.  That is a linear coordinate system only if trv
@@ -41,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BchFormsError, NotAnMSequence
-from .gfarith import small_field
+from .gfarith import digits, small_field
 
 
 def use_numba() -> bool:
@@ -134,26 +135,57 @@ def _build_plan(trv2: np.ndarray, pair: np.ndarray, q: int) -> _Plan:
     return _Plan(trv2=trv2, pair=pair, m=m, pos=pos, rows=rows)
 
 
+# A round transforms k digits at once, k the largest with q^(k+1) <= 16:
+# k = 3 at q = 2, else k = 1.  Sweep of this bound (walsh_table, median of
+# 15 interleaved runs, 2 cores, OpenBLAS 0.3.31, us): 16 -> 32 (k = 4 at
+# q = 2, k = 2 at q = 3) ran GF(2^7) 27 -> 22, GF(2^14) 917 -> 494,
+# GF(3^4) 27 -> 21, but GF(2^18) 15380 -> 19002, GF(3^8) 437 -> 534 and
+# GF(3^10) 4476 -> 5645; 8 and 64 were no better overall.
+_ROUND_SPAN = 16
+
+# every entry and partial sum of a round counts points of GF(q)^m, an
+# integer <= q^m, and float32 holds every integer up to 2^24 exactly
+_FLOAT32_EXACT = 1 << 24
+
+
 @lru_cache(maxsize=None)
-def _round_indices(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(vsrc, a): vsrc[v, c, a] = v - c*a in GF(q), and a = 0..q-1."""
+def _round_matrix(q: int, k: int) -> np.ndarray:
+    """M[c, a*q + v, v'] = [v' = v + c.a] (float32 0/1), over c, a in GF(q)^k
+    as digit indices: one Walsh round on k digits, as q^k matrices (k = 0
+    gives the q x q identity)."""
     F = small_field(q)
-    a = np.arange(q)
-    return F.add[a[:, None, None], F.neg[F.mul[a[None, :, None], a[None, None, :]]]].astype(np.intp), a
+    size = q ** k
+    d = digits(np.arange(size), q, k)
+    dot = np.zeros((size, size), dtype=np.intp)  # dot[c, a] = c.a in GF(q)
+    for b in range(k):
+        dot = F.add[dot, F.mul[d[:, None, b], d[None, :, b]]]
+    c, a, v = np.indices((size, size, q))
+    M = np.zeros((size, size, q, q), dtype=np.float32)
+    M[c, a, v, F.add[v, dot[c, a]]] = 1
+    M.setflags(write=False)
+    return M.reshape(size, size * q, q)
 
 
 def walsh_table(vals, q: int, m: int) -> np.ndarray:
     """T[v, l] = #{x in GF(q)^m : vals[x] + l.x = v} (int32), where vals[x]
     is the GF(q) value at the coordinate index x = sum_b x_b q^b and l is
-    a coordinate index too."""
+    a coordinate index too.  Exact for q^m <= 2^24 (float32 counts), and
+    BchFormsError above that."""
     size = q ** m
-    # T[v, x]; each round transforms the lowest digit and rotates it to
-    # the top, so after m rounds T[v, l] is in order
-    vsrc, a = _round_indices(q)
-    T = np.asarray(vals) == a[:, None]  # bool; the first round sums it to int32
-    for _ in range(m):
-        T = T.reshape(q, size // q, q)[vsrc, :, a].sum(axis=2, dtype=np.int32)
-    return T.reshape(q, size)
+    if size > _FLOAT32_EXACT:
+        raise BchFormsError(f"a Walsh table over GF({q})^{m} has counts up to {q}^{m} > 2^24, "
+                            "beyond exact float32")
+    k = 1
+    while q ** (k + 2) <= _ROUND_SPAN:
+        k += 1
+    # T[x, v]; each round transforms the lowest digits of x, and the batch
+    # axis of the matmul puts them on top, so after all rounds every digit
+    # is back in place and the table is T[l, v]
+    T = np.take(_round_matrix(q, 0)[0], vals, axis=0)  # k = 0 is the identity
+    for lo in range(0, m, k):
+        g = min(k, m - lo)
+        T = np.matmul(T.reshape(size // q ** g, q ** g * q), _round_matrix(q, g)).reshape(size, q)
+    return T.T.astype(np.int32, order="C")
 
 
 def _coset_walsh(qv, trv2, pair, neg) -> tuple[_Plan, np.ndarray]:

@@ -37,10 +37,13 @@ from .schemes import (
 )
 from .weights import WeightEnumerator, check_c_class
 
-# trace_route_weights starts its thread pool from this many entries gathered
-# per transform round, q^(m+2).  On 2 cores two threads ran 40%-2.5x slower
-# than one up to 19683 ((3,7,3), (2,12,5), all oracle-wide codes) and 10-20%
-# faster from 59049 ((3,8,3), (4,6,2), (2,14,6)), 1.7-1.9x at 2^18 and up.
+# trace_route_weights starts its thread pool from q^(m+2) = 2^15, a measure
+# of one coset's transform.  Timed on 2 cores with the matmul rounds of
+# kernels.walsh_table (two threads / one, medians of 5-9 runs): 1.06 at
+# (2,12,5) (16384), 1.70 at (3,7,3) (19683), 1.8-2.6 at (2,7,4), (5,4,1)
+# and (3,6,2); 0.76 at (2,13,6) (32768), 0.84-1.09 at (3,8,3) (59049),
+# 0.89-0.95 at (4,6,2) and 0.65 at (2,14,6) (65536), 0.77 at (5,5,2), and
+# 0.53-0.55 at (2,16,7) and (3,10,4) (2^18 and up).
 POOL_MIN_TRANSFORM = 1 << 15
 
 
@@ -88,8 +91,9 @@ def trace_route_weights(params: CodeParams, budget: EnumerationBudget = DEFAULT_
             kernels.coset_weight_counts(qv, trv2, pair, neg, counts)
         return counts
 
-    # workers is a cap: threads share the GIL between transform rounds, so
-    # a second thread pays only once one coset's transform is long
+    # workers is a cap: the matmul rounds release the GIL but the numpy
+    # calls around them hold it, so a second thread pays only once one
+    # coset's transform is long
     w = workers if workers is not None else default_workers()
     w = max(1, min(w, spec.size)) if q ** (m + 2) >= POOL_MIN_TRANSFORM else 1
     if w == 1:

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -171,6 +172,12 @@ LONG_COUNTS = [
     ("params", "-q", "2", "-m", "15000", "-i", "7499"),
     ("appendix-table", "-q", "2", "-m", "15000", "--rank", "1", "--type", "1", "--c-class", "zero",
      "--no-oracle"),
+    *(REFUSED_FROM_EXPONENT := [
+        # refused before the closed counts (over 100 s) or the family size
+        # (8 s for 3^13510501) are computed
+        ("enumerator", "-q", "3", "-m", "2001", "-i", "1333", "--mode", "closed"),
+        ("inner-dist", "--family", "S1", "-q", "3", "-m", "9001", "-i", "6000", "--method", "closed"),
+    ]),
 ]
 
 
@@ -199,7 +206,10 @@ LONG_COUNTS = [
     *LONG_COUNTS,
 ])
 def test_bad_input_is_one_json_error(capsys, argv):
+    t0 = time.perf_counter()
     code, doc = run_cli(capsys, *argv)
+    if argv in REFUSED_FROM_EXPONENT:
+        assert time.perf_counter() - t0 < 2.0
     assert code == 1
     assert set(doc) == {"command", "error", "message"}
     assert doc["error"] in ("OutOfRange", "NotPrime")
@@ -216,6 +226,53 @@ def test_count_refuses_exactly_past_the_digit_limit(monkeypatch):
             cli._count(n)
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)  # no limit
     assert cli._count(10 ** 5000) == 10 ** 5000
+
+
+def test_check_power_refuses_exactly_past_the_digit_limit(monkeypatch):
+    # q^e / parts >= 10^limit, decided exactly on both sides of the limit
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 5, raising=False)
+    for q, e, parts in ((3, 10, 1), (2, 16, 1), (3, 12, 7), (5, 7, 1), (3, 15, 3 ** 5 + 1)):
+        cli._check_power(q, e, parts)
+        with pytest.raises(OutOfRange, match="more than 5 decimal digits"):
+            cli._check_power(q, e + 1, parts)
+    with pytest.raises(OutOfRange):
+        cli._check_power(3, 10 ** 9)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)  # no limit
+    cli._check_power(3, 10 ** 9)
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerator", "-q", "3", "-m", "5", "-i", "3", "--mode", "closed"),
+    ("enumerator", "-q", "5", "-m", "4", "-i", "2", "--mode", "closed"),
+    ("enumerator", "-q", "3", "-m", "7", "-i", "4", "--mode", "closed"),
+    ("inner-dist", "--family", "S1", "-q", "3", "-m", "5", "-i", "3", "--method", "closed"),
+    ("inner-dist", "--family", "S2", "-q", "5", "-m", "4", "-i", "3", "--method", "closed"),
+])
+def test_early_refusal_only_where_a_count_is_refused(capsys, monkeypatch, argv):
+    # at every digit limit, the output is the one the command gives when
+    # it computes every count and lets _count refuse
+    check_power, fired = cli._check_power, []
+
+    def early_check(*a):
+        try:
+            check_power(*a)
+        except OutOfRange:
+            fired.append(a)
+            raise
+
+    def run(limit, check):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit, raising=False)
+        monkeypatch.setattr(cli, "_check_power", check)
+        code, doc = run_cli(capsys, *argv)
+        doc.pop("elapsed_ms", None)
+        return code, doc
+
+    refused = 0
+    for limit in range(1, 16):
+        early = run(limit, early_check)
+        assert early == run(limit, lambda *a: None), limit
+        refused += early[0] == 1
+    assert 0 < len(fired) <= refused < 15
 
 
 def test_classify_form_field_budget(capsys, monkeypatch):

@@ -91,8 +91,8 @@ def test_polarize_trace_form_matches_bilinear_formula():
         for b in range(3):
             lhs = tr[
                 fld.add(
-                    fld.mul(fld.mul(mu, fld.frob(basis[a], 2)), basis[b]),
-                    fld.mul(fld.mul(fld.frob(mu, 1), fld.frob(basis[a], 1)), basis[b]),
+                    fld.mul(fld.mul(mu, fld.pow(basis[a], fld.q ** 2)), basis[b]),
+                    fld.mul(fld.mul(fld.frob(mu), fld.frob(basis[a])), basis[b]),
                 )
             ]
             assert g[a, b] == lhs

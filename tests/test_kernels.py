@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bchforms import kernels, oracle
-from bchforms.errors import NotAnMSequence
+from bchforms.errors import BchFormsError, NotAnMSequence
 from bchforms.forms import TraceQuadraticForm, family_domains, family_slots
 from bchforms.schemes import FamilySpec, enumerate_family
-from bchforms.gfarith import field_for, small_field
+from bchforms.gfarith import digits, field_for, small_field
 
 
 def naive_coset_counts(qv, trv, q):
@@ -230,3 +232,65 @@ def test_coset_weight_table_consistent_with_counts():
         1 for j in range(n) if F.add_el(F.add_el(int(qv[j]), int(trv[(j + k) % n])), eps) != 0
     )
     assert table[1 + k, eps] == word_w
+
+
+def gather_walsh_table(vals, q, m):
+    """The earlier production kernel, kept as a reference: m rounds, each a
+    gather of a (q, q, q, q^(m-1)) array summed over one axis, on int32."""
+    F = small_field(q)
+    a = np.arange(q)
+    vsrc = F.add[a[:, None, None], F.neg[F.mul[a[None, :, None], a[None, None, :]]]].astype(np.intp)
+    size = q ** m
+    T = np.asarray(vals) == a[:, None]
+    for _ in range(m):
+        T = T.reshape(q, size // q, q)[vsrc, :, a].sum(axis=2, dtype=np.int32)
+    return T.reshape(q, size)
+
+
+def brute_walsh_table(vals, q, m):
+    """T[v, l] = #{x : vals[x] + l.x = v}, counted one functional l at a time."""
+    F = small_field(q)
+    size = q ** m
+    xd = digits(np.arange(size), q, m)
+    T = np.zeros((q, size), dtype=np.int32)
+    for l, ld in enumerate(xd):
+        acc = vals
+        for b in range(m):
+            acc = F.add[acc, F.mul[ld[b], xd[:, b]]]
+        T[:, l] = np.bincount(acc, minlength=q)
+    return T
+
+
+# every q from 2 to 9, so non-prime q and one-digit rounds are covered, and
+# m from 1 up, so every remainder of m by the digits per round occurs
+WALSH_FIELDS = [(2, m) for m in range(1, 11)] + [(3, m) for m in range(1, 6)] + [
+    (4, 1), (4, 3), (4, 5), (5, 1), (5, 3), (7, 2), (7, 3), (8, 3), (9, 3)]
+
+
+@pytest.mark.parametrize("q,m", WALSH_FIELDS)
+def test_walsh_table_matches_gather_and_brute_force(q, m):
+    rng = np.random.default_rng(q * 100 + m)
+    for vals in (rng.integers(0, q, q ** m), np.zeros(q ** m, dtype=np.int64)):
+        T = kernels.walsh_table(vals, q, m)
+        assert T.dtype == np.int32 and T.flags.c_contiguous
+        assert np.array_equal(T, brute_walsh_table(vals, q, m))
+        assert T.tobytes() == gather_walsh_table(vals, q, m).tobytes()
+
+
+@pytest.mark.parametrize("q,m", [(2, 13), (2, 14), (3, 7), (4, 6), (8, 4), (9, 4)])
+def test_walsh_table_matches_gather_on_larger_fields(q, m):
+    vals = np.random.default_rng(q * 100 + m).integers(0, q, q ** m)
+    assert kernels.walsh_table(vals, q, m).tobytes() == gather_walsh_table(vals, q, m).tobytes()
+
+
+def test_walsh_table_refuses_counts_beyond_float32():
+    # 2^25 points cannot be counted exactly in float32; the size check
+    # comes before any allocation, so a one-element dummy suffices
+    tracemalloc.start()
+    try:
+        with pytest.raises(BchFormsError, match="2\\^24"):
+            kernels.walsh_table(np.zeros(1, dtype=np.int64), 2, 25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak

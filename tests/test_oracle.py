@@ -250,3 +250,19 @@ def test_appendix_census_memory():
         tracemalloc.stop()
     assert peak < 8 << 20, peak
     assert counted == appendix_frequency_tables(2, 14, rt, "zero")
+
+
+def test_appendix_census_memory_at_large_q():
+    # the Walsh rounds hold a few float32 arrays of q*q^m entries; the
+    # earlier gather rounds held q^2*q^m int32 entries, 23 MB here
+    q, m = 7, 6
+    rt = RankType(m, 1)
+    form = canonical_form(q, m, rt)
+    tracemalloc.start()
+    try:
+        counted = oracle.appendix_census(q, m, form, "square", EnumerationBudget())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 4 * q ** (m + 1) < 4 * q ** (m + 2), peak
+    assert counted == appendix_frequency_tables(q, m, rt, "square")

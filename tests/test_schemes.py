@@ -211,10 +211,11 @@ def _scalar_bilinear_gram(field, i, lambdas):
             if lam == 0:
                 continue
             if slot.half:
-                acc = field.add(acc, field.mul(lam, field.frob(x, m // 2)))
+                acc = field.add(acc, field.mul(lam, field.pow(x, field.q ** (m // 2))))
             else:
-                acc = field.add(acc, field.mul(lam, field.frob(x, slot.j)))
-                acc = field.add(acc, field.mul(field.frob(lam, m - slot.j), field.frob(x, m - slot.j)))
+                acc = field.add(acc, field.mul(lam, field.pow(x, field.q ** slot.j)))
+                back = field.q ** (m - slot.j)
+                acc = field.add(acc, field.mul(field.pow(lam, back), field.pow(x, back)))
         images.append(acc)
     tr = np.zeros(field.size, dtype=np.int64)
     tr[field.exp_index] = field.trace_vec
