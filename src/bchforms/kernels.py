@@ -1,20 +1,39 @@
 """Hot counting kernels behind the exhaustive oracles (numpy only).
 
-``walsh_table`` is a q-ary Walsh transform over GF(q)^m.  Starting from
-A[x, v] = [f(x) = v], rounds that each transform a group of k coordinates
-with one float32 matmul against a 0/1 matrix give
+``walsh_table`` is a q-ary Walsh transform over GF(q)^m: it counts
 
     T[v, l] = #{x in GF(q)^m : f(x) + l.x = v}
 
-for every GF(q)-linear functional l: ceil(m/k) rounds of q^(m+k+2)
-multiply-adds on q^(m+1) entries, exact because every value is a count of
-at most q^m <= 2^24 points.  ``coset_weight_counts`` histograms the
-q^(m+1) words Q(x) + Tr(mu x) + eps of one PRM coset from it:
-mu -> Tr(mu .) runs over all linear functionals, so the coset is
-{f + l.x + eps}, and the word (l, eps) has weight
-n - (T[-eps, l] - [eps = 0]).  This is the q-ary form of reading a
-first-order Reed-Muller coset's weights off its Walsh spectrum
-(MacWilliams & Sloane, The Theory of Error-Correcting Codes, ch. 14).
+for every GF(q)-linear functional l, in rounds that each transform a
+group of k coordinates with one float32 matmul.  Every entry and partial
+sum of a round is a count, or a signed count, of at most q^m <= 2^24
+points, so float32 is exact.
+
+* Odd q, one-hot rounds: from A[x, v] = [f(x) = v], each round multiplies
+  by 0/1 matrices, q^(m+k+2) multiply-adds on q^(m+1) entries.
+* Even q = 2^e, sign rounds: addition in GF(q) is XOR of element indices,
+  so the additive characters of GF(q) are the real signs (-1)^(j.u), with
+  j.u the parity of j & u.  These are the characters (-1)^Tr(a u) of the
+  absolute trace, relabelled (Lidl & Niederreiter, Finite Fields, ch. 5),
+  and
+      T[v, l] = (q^m + sum_{j=1}^{q-1} (-1)^(j.v) W_j(l)) / q,
+      W_j(l) = sum_x (-1)^(j.(f(x) + l.x)).
+  The sign of x factors over its digits, so the q-1 rows W_j take rounds
+  of (q-1) q^(m+k) multiply-adds on (q-1) q^m entries, and the character
+  sum is one more matmul of q (q-1) q^m.  The division is by a power of
+  two, so it stays exact.
+
+One Walsh table is ceil(m/k) rounds (k from ``_round_digits``); its
+kernel work in multiply-adds is about ceil(m/k) q^(m+k+2) at odd q and
+ceil(m/k) (q-1) q^(m+k) + q (q-1) q^m at even q.
+
+``coset_weight_counts`` histograms the q^(m+1) words Q(x) + Tr(mu x) + eps
+of one PRM coset from T: mu -> Tr(mu .) runs over all linear functionals,
+so the coset is {f + l.x + eps}, and the word (l, eps) has weight
+n - (T[-eps, l] - [eps = 0]).  At q = 2 it reads the histogram off W_1
+alone, with no character sum.  This is the q-ary form of reading a
+first-order Reed-Muller coset's weights off its Walsh spectrum (MacWilliams
+& Sloane, The Theory of Error-Correcting Codes, ch. 14).
 
 The coordinates of x = alpha^t are read from the trace vector itself,
 x_b = trv[t+b] for b < m.  That is a linear coordinate system only if trv
@@ -135,30 +154,54 @@ def _build_plan(trv2: np.ndarray, pair: np.ndarray, q: int) -> _Plan:
     return _Plan(trv2=trv2, pair=pair, m=m, pos=pos, rows=rows)
 
 
-# A round transforms k digits at once, k the largest with q^(k+1) <= 16:
-# k = 3 at q = 2, else k = 1.  Sweep of this bound (walsh_table, median of
-# 15 interleaved runs, 2 cores, OpenBLAS 0.3.31, us): 16 -> 32 (k = 4 at
-# q = 2, k = 2 at q = 3) ran GF(2^7) 27 -> 22, GF(2^14) 917 -> 494,
-# GF(3^4) 27 -> 21, but GF(2^18) 15380 -> 19002, GF(3^8) 437 -> 534 and
-# GF(3^10) 4476 -> 5645; 8 and 64 were no better overall.
+# A round contracts the table with matrices whose inner dimension is at
+# most _ROUND_SPAN: q^(k+1) for the one-hot rounds of odd q, so k = 1 for
+# every odd q, and q^k for the sign rounds of even q, so k = 4, 2, 1, 1 at
+# q = 2, 4, 8, 16.  One-hot sweep (walsh_table, median of 15 interleaved
+# runs, 2 cores, OpenBLAS 0.3.31, us): 16 -> 32 (k = 2 at q = 3) ran
+# GF(3^4) 27 -> 21, but GF(3^8) 437 -> 534 and GF(3^10) 4476 -> 5645.
+# Sign sweep (median of 41 runs, 7 from q^m = 2^16, same host), k = 3 / 4
+# / 5 at q = 2: GF(2^7) 30 / 25 / 21, GF(2^12) 71 / 56 / 61, GF(2^14)
+# 188 / 170 / 236, GF(2^16) 1384 / 1304 / 1446, GF(2^18) 5475 / 5311 /
+# 5246; k = 1 / 2 / 3 at q = 4: GF(4^4) 41 / 33 / 45, GF(4^7) 655 / 473 /
+# 551, GF(4^8) 2975 / 1587 / 1816, GF(4^9) 17099 / 14351 / 11181; k = 1 / 2
+# at q = 8: GF(8^3) 34 / 47, GF(8^4) 166 / 226, GF(8^6) 23004 / 24307.
 _ROUND_SPAN = 16
 
-# every entry and partial sum of a round counts points of GF(q)^m, an
-# integer <= q^m, and float32 holds every integer up to 2^24 exactly
+# every entry and partial sum of a round is a count or a signed count of
+# points of GF(q)^m, at most q^m, and float32 holds every integer up to
+# 2^24 exactly
 _FLOAT32_EXACT = 1 << 24
+
+
+@lru_cache(maxsize=None)
+def _round_digits(q: int) -> int:
+    """Digits per round: the largest k >= 1 whose round matrices have an
+    inner dimension of at most _ROUND_SPAN."""
+    k, onehot = 1, q % 2
+    while q ** (k + 1 + onehot) <= _ROUND_SPAN:
+        k += 1
+    return k
+
+
+def _digit_dot(q: int, k: int) -> np.ndarray:
+    """dot[c, y] = c.y in GF(q), over c, y in GF(q)^k as digit indices."""
+    F = small_field(q)
+    d = digits(np.arange(q ** k), q, k)
+    dot = np.zeros((q ** k, q ** k), dtype=np.intp)
+    for b in range(k):
+        dot = F.add[dot, F.mul[d[:, None, b], d[None, :, b]]]
+    return dot
 
 
 @lru_cache(maxsize=None)
 def _round_matrix(q: int, k: int) -> np.ndarray:
     """M[c, a*q + v, v'] = [v' = v + c.a] (float32 0/1), over c, a in GF(q)^k
-    as digit indices: one Walsh round on k digits, as q^k matrices (k = 0
+    as digit indices: one one-hot round on k digits, as q^k matrices (k = 0
     gives the q x q identity)."""
     F = small_field(q)
     size = q ** k
-    d = digits(np.arange(size), q, k)
-    dot = np.zeros((size, size), dtype=np.intp)  # dot[c, a] = c.a in GF(q)
-    for b in range(k):
-        dot = F.add[dot, F.mul[d[:, None, b], d[None, :, b]]]
+    dot = _digit_dot(q, k)
     c, a, v = np.indices((size, size, q))
     M = np.zeros((size, size, q, q), dtype=np.float32)
     M[c, a, v, F.add[v, dot[c, a]]] = 1
@@ -166,41 +209,113 @@ def _round_matrix(q: int, k: int) -> np.ndarray:
     return M.reshape(size, size * q, q)
 
 
-def walsh_table(vals, q: int, m: int) -> np.ndarray:
-    """T[v, l] = #{x in GF(q)^m : vals[x] + l.x = v} (int32), where vals[x]
-    is the GF(q) value at the coordinate index x = sum_b x_b q^b and l is
-    a coordinate index too.  Exact for q^m <= 2^24 (float32 counts), and
-    BchFormsError above that."""
+@lru_cache(maxsize=None)
+def _hadamard(n: int) -> np.ndarray:
+    """X[j, v] = (-1)^(j.v) (float32), j.v the parity of j & v: the n x n
+    Sylvester-Hadamard matrix.  For n = q = 2^e, addition in GF(q) is XOR of
+    element indices, so its rows are the q additive characters of GF(q)."""
+    j = np.arange(n)
+    X = (1 - 2 * (np.bitwise_count(j[:, None] & j) & 1).astype(np.int8)).astype(np.float32)
+    X.setflags(write=False)
+    return X
+
+
+@lru_cache(maxsize=None)
+def _characters(q: int) -> np.ndarray:
+    """C[j-1, v] = (-1)^(j.v) / q (float32) for the nontrivial characters
+    j = 1..q-1 of GF(q), q even: the sign rows of _sign_spectra, cached as
+    they are taken once per coset."""
+    C = _hadamard(q)[1:] / np.float32(q)
+    C.setflags(write=False)
+    return C
+
+
+@lru_cache(maxsize=None)
+def _sign_matrix(q: int, k: int) -> np.ndarray:
+    """H[j-1, c, y] = (-1)^(j.(c.y)) (float32, C-contiguous), over the
+    characters j = 1..q-1 of GF(q) (q even) and c, y in GF(q)^k as digit
+    indices: one sign round on k digits for every nontrivial character."""
+    H = _hadamard(q)[1:, _digit_dot(q, k)]
+    H.setflags(write=False)
+    return H
+
+
+def _exact_size(q: int, m: int) -> int:
+    """q^m, or BchFormsError when float32 cannot count q^m points exactly."""
     size = q ** m
     if size > _FLOAT32_EXACT:
         raise BchFormsError(f"a Walsh table over GF({q})^{m} has counts up to {q}^{m} > 2^24, "
                             "beyond exact float32")
-    k = 1
-    while q ** (k + 2) <= _ROUND_SPAN:
-        k += 1
-    # T[x, v]; each round transforms the lowest digits of x, and the batch
-    # axis of the matmul puts them on top, so after all rounds every digit
-    # is back in place and the table is T[l, v]
-    T = np.take(_round_matrix(q, 0)[0], vals, axis=0)  # k = 0 is the identity
+    return size
+
+
+def _sign_spectra(vals, q: int, m: int) -> np.ndarray:
+    """W[j-1, l] = W_j(l) / q, W_j(l) = sum_x (-1)^(j.(vals[x] + l.x)), for
+    the characters j = 1..q-1 of GF(q), q even (float32, shape (q-1, q^m)).
+
+    The sign of x factors over the digits of x, as j.(u + w) = j.u + j.w
+    and l.x = sum_b l_b x_b, so each round transforms k digits of every row
+    with one batched matmul against _sign_matrix: (q-1) q^(m+k)
+    multiply-adds on (q-1) q^m entries.  As in the one-hot rounds, the
+    transformed digits come out on top.  Every partial sum is a signed
+    count of at most q^m points, divided by q: a power of two, so exact,
+    and the character sum of walsh_table comes out as T itself."""
+    size = q ** m
+    k = _round_digits(q)
+    W = np.take(_characters(q), vals, axis=1)
     for lo in range(0, m, k):
         g = min(k, m - lo)
-        T = np.matmul(T.reshape(size // q ** g, q ** g * q), _round_matrix(q, g)).reshape(size, q)
-    return T.T.astype(np.int32, order="C")
+        W = np.matmul(_sign_matrix(q, g), W.reshape(q - 1, size // q ** g, q ** g).transpose(0, 2, 1))
+    return W.reshape(q - 1, size)
 
 
-def _coset_walsh(qv, trv2, pair, neg) -> tuple[_Plan, np.ndarray]:
-    """The plan and the Walsh table T[v, l] of the values qv (by exponent)."""
-    q = neg.shape[0]
-    plan = _plan(trv2, pair, q)
+def walsh_table(vals, q: int, m: int) -> np.ndarray:
+    """T[v, l] = #{x in GF(q)^m : vals[x] + l.x = v} (int32), where vals[x]
+    is the GF(q) value at the coordinate index x = sum_b x_b q^b and l is
+    a coordinate index too.  Exact for q^m <= 2^24 (float32 counts), and
+    BchFormsError above that.
+
+    Odd q: one-hot rounds on [vals[x] = v].  Even q: the character sum
+    T[v, l] = (q^m + sum_j (-1)^(j.v) W_j(l)) / q over the nontrivial
+    characters j of GF(q) (_sign_spectra)."""
+    size = _exact_size(q, m)
+    if q % 2:
+        k = _round_digits(q)
+        # T[x, v]; each round transforms the lowest digits of x, and the batch
+        # axis of the matmul puts them on top, so after all rounds every digit
+        # is back in place and the table is T[l, v]
+        T = np.take(_round_matrix(q, 0)[0], vals, axis=0)  # k = 0 is the identity
+        for lo in range(0, m, k):
+            g = min(k, m - lo)
+            T = np.matmul(T.reshape(size // q ** g, q ** g * q), _round_matrix(q, g)).reshape(size, q)
+        return T.T.astype(np.int32, order="C")
+    if (q - 1) * size <= 2 * _FLOAT32_EXACT:
+        # one matmul: every W_j is even, so each partial sum is an even
+        # integer of at most (q-1) q^m <= 2^25 (divided by q), exact
+        T = np.matmul(_hadamard(q)[:, 1:], _sign_spectra(vals, q, m))
+        T += size / q
+    else:
+        # one character bit at a time: each step is a two-term sum whose
+        # result is 2^b times a count of at most q^m points (divided by q)
+        T = np.empty((q, size), dtype=np.float32)
+        T[0], T[1:] = size / q, _sign_spectra(vals, q, m)
+        for b in range(q.bit_length() - 1):
+            T = np.matmul(_hadamard(2), T.reshape(q >> (b + 1), 2, -1))
+    return T.reshape(q, size).astype(np.int32)
+
+
+def _coset_vals(qv, trv2, pair, neg) -> tuple[_Plan, np.ndarray]:
+    """The plan and the values qv (by exponent) by coordinate index."""
+    plan = _plan(trv2, pair, neg.shape[0])
     vals = np.zeros(qv.shape[0] + 1, dtype=np.int64)
     vals[plan.pos] = qv
-    return plan, walsh_table(vals, q, plan.m)
+    return plan, vals
 
 
 def _coset_weights(qv, trv2, pair, neg) -> tuple[_Plan, np.ndarray]:
     """W[eps, l]: weight of the word f + l.x + eps, l a coordinate index."""
-    plan, T = _coset_walsh(qv, trv2, pair, neg)
-    W = qv.shape[0] - T[neg]
+    plan, vals = _coset_vals(qv, trv2, pair, neg)
+    W = qv.shape[0] - walsh_table(vals, neg.shape[0], plan.m)[neg]
     W[0] += 1
     return plan, W
 
@@ -211,10 +326,23 @@ def coset_weight_counts(qv, trv2, pair, neg, counts):
     The word (l, eps) has n - Z zeros among the n codeword coordinates, with
     Z = T[-eps, l] - [eps = 0] (x = 0 is not a coordinate, and is a zero of
     every word with eps = 0).  neg only permutes the rows of T, so the
-    histogram of the weights is that of Z = T - [v = 0], reversed."""
-    _, T = _coset_walsh(qv, trv2, pair, neg)
+    histogram of the weights is that of Z = T - [v = 0], reversed.
+
+    At q = 2 the histogram comes from the spectrum W = W_1 alone:
+    T[0, l] = 2^m/2 + W(l)/2 >= 1 (x = 0 counts), T[1, l] = 2^m - T[0, l],
+    so the words (l, 0) and (l, 1) have weights 2^m - T[0, l] and
+    T[0, l] - 1."""
+    q = neg.shape[0]
+    plan, vals = _coset_vals(qv, trv2, pair, neg)
+    size = vals.shape[0]
+    if q == 2:
+        _exact_size(2, plan.m)
+        W = _sign_spectra(vals, 2, plan.m)
+        h = np.bincount((W[0] + size // 2).astype(np.intp), minlength=size + 1)
+        counts[:size] += h[size:0:-1] + h[1:]
+        return
+    T = walsh_table(vals, q, plan.m)
     T[0] -= 1
-    size = qv.shape[0] + 1
     counts[:size] += np.bincount(T.ravel(), minlength=size)[::-1]
 
 

@@ -7,7 +7,10 @@ information word), and rank/type censuses classify each family member one
 by one.  The trace-route coset histogram and the appendix oracle read
 N(Q+L+c) for every linear functional L and constant c off one Walsh table,
 T[v, l] = #{x : Q(x) + l.x = v} (``kernels.walsh_table``), which is an
-exact count, not a formula.  The trace route uses one fact beyond
+exact count, not a formula.  At even q the kernel takes it from the real
+character sums of Q + l.x, by the orthogonality of the characters of
+GF(q); at q = 2 the coset histogram reads T[0, l] = (2^m + W(l))/2 off
+the spectrum W alone.  The trace route uses one fact beyond
 counting: that mu -> Tr(mu x) is GF(q)-linear, so the words of a coset are
 f + l.x + eps over all functionals l.  The kernel checks at run time that
 the trace vector is a linear m-sequence before it relies on this.
@@ -37,13 +40,18 @@ from .schemes import (
 )
 from .weights import WeightEnumerator, check_c_class
 
-# trace_route_weights starts its thread pool from q^(m+2) = 2^15, a measure
-# of one coset's transform.  Timed on 2 cores with the matmul rounds of
-# kernels.walsh_table (two threads / one, medians of 5-9 runs): 1.06 at
-# (2,12,5) (16384), 1.70 at (3,7,3) (19683), 1.8-2.6 at (2,7,4), (5,4,1)
-# and (3,6,2); 0.76 at (2,13,6) (32768), 0.84-1.09 at (3,8,3) (59049),
-# 0.89-0.95 at (4,6,2) and 0.65 at (2,14,6) (65536), 0.77 at (5,5,2), and
-# 0.53-0.55 at (2,16,7) and (3,10,4) (2^18 and up).
+# trace_route_weights starts its thread pool only for odd q, from
+# q^(m+2) = 2^15, a measure of one coset's one-hot transform.  Two threads
+# / one, medians of 5-7 alternating runs on 2 cores, numpy's OpenBLAS at
+# its default 2 threads.  Odd q: 2.8 at (3,6,2), 2.2 at (5,4,1) and 1.41
+# at (3,7,3) (19683); 0.74-0.91 at (3,8,3) (59049), 0.77-0.85 at (5,5,2)
+# and 0.65 at (3,10,4).  Even q runs the sign rounds, larger matmuls that
+# OpenBLAS spreads over its own threads, and a second Python thread
+# contends with those: 2.49 at (2,10,4), 1.86 at (2,12,5), 1.44 at
+# (2,13,6), 0.79-1.06 at (2,14,6), 1.47-1.67 at (2,16,7), 2.05 at (4,5,2),
+# 1.18-1.25 at (4,6,2), 1.41-1.43 at (4,8,3), 0.82-0.91 at (8,4,1) and
+# 1.38 at (16,4,1).  (With OPENBLAS_NUM_THREADS=1, two threads ran 0.56-0.71
+# of one at (2,14,6), (2,16,7) and (4,8,3).)
 POOL_MIN_TRANSFORM = 1 << 15
 
 
@@ -91,11 +99,12 @@ def trace_route_weights(params: CodeParams, budget: EnumerationBudget = DEFAULT_
             kernels.coset_weight_counts(qv, trv2, pair, neg, counts)
         return counts
 
-    # workers is a cap: the matmul rounds release the GIL but the numpy
-    # calls around them hold it, so a second thread pays only once one
-    # coset's transform is long
+    # workers is a cap: the one-hot rounds of odd q release the GIL but the
+    # numpy calls around them hold it, so a second thread pays only once one
+    # coset's transform is long; the sign rounds of even q are left to
+    # BLAS's own threads (timings at POOL_MIN_TRANSFORM)
     w = workers if workers is not None else default_workers()
-    w = max(1, min(w, spec.size)) if q ** (m + 2) >= POOL_MIN_TRANSFORM else 1
+    w = max(1, min(w, spec.size)) if q % 2 and q ** (m + 2) >= POOL_MIN_TRANSFORM else 1
     if w == 1:
         counts = scan(members)
     else:

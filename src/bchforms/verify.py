@@ -6,6 +6,8 @@ Each check returns (name, ok, detail); a suite is the list of its checks.
 
 from __future__ import annotations
 
+from functools import cache
+
 from . import cyclotomic as cyc
 from . import oracle as orc
 from . import weights as wts
@@ -106,6 +108,9 @@ def verify_schemes(q: int | None = None, m: int | None = None, i: int | None = N
                    budget: EnumerationBudget = DEFAULT_BUDGET) -> list[Check]:
     out: list[Check] = []
     qs = _qs(q)
+    # the Schmidt list, the correspondences and the dg-bound check share
+    # families; each census is computed once
+    census = cache(lambda spec: census_inner_distribution(spec, budget))
     schmidt_cases = SCHMIDT_FAMILIES
     if None not in (q, m, i):
         schmidt_cases = [("S1" if m % 2 else "S2", q, m, i)]
@@ -114,10 +119,10 @@ def verify_schemes(q: int | None = None, m: int | None = None, i: int | None = N
             continue
         spec = FamilySpec(kind, qq, mm, ii)  # a family that does not exist is an input error
         try:
-            census = census_inner_distribution(spec, budget)
+            counted = census(spec)
             closed = schmidt_for_family(spec)
-            ok = closed.entries == census.entries
-            detail = "entrywise equal" if ok else f"closed={closed.entries} census={census.entries}"
+            ok = closed.entries == counted.entries
+            detail = "entrywise equal" if ok else f"closed={closed.entries} census={counted.entries}"
         except BudgetExceeded:
             raise  # a refusal is an error of the run, not a failed check
         except BchFormsError as exc:
@@ -127,7 +132,7 @@ def verify_schemes(q: int | None = None, m: int | None = None, i: int | None = N
         if qq not in qs:
             continue
         qd = orc.rank_type_census(FamilySpec(qk, qq, mm, ii), budget)
-        sd = census_inner_distribution(FamilySpec(sk, qq, mm, ii), budget)
+        sd = census(FamilySpec(sk, qq, mm, ii))
         out.append(
             (f"correspondence-odd {qk}~{sk}({qq},{mm},{ii})", qd.entries == sd.entries, "")
         )
@@ -135,7 +140,7 @@ def verify_schemes(q: int | None = None, m: int | None = None, i: int | None = N
         if qq not in qs:
             continue
         qd = orc.rank_type_census(FamilySpec(qk, qq, mm, ii), budget)
-        ad = census_inner_distribution(FamilySpec(ak, qq, mm, ii), budget)
+        ad = census(FamilySpec(ak, qq, mm, ii))
         ok = True
         for rank in range(0, mm + 1, 2):
             lhs = (
@@ -146,7 +151,7 @@ def verify_schemes(q: int | None = None, m: int | None = None, i: int | None = N
             ok = ok and lhs == ad.entries.get(rank, 0)
         out.append((f"correspondence-even {qk}~{ak}({qq},{mm},{ii})", ok, ""))
     if 2 in qs:
-        ad = census_inner_distribution(FamilySpec("A1", 2, 5, 2), budget)
+        ad = census(FamilySpec("A1", 2, 5, 2))
         ok = is_proper_d_code(ad, 4) and ad.total() == dg_bound(5, 2, 2)
         out.append(("dg-bound-attained A1(2,5,2)", ok, f"|Y|={ad.total()} bound={dg_bound(5, 2, 2)}"))
     if 3 in qs:

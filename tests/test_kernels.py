@@ -247,6 +247,21 @@ def gather_walsh_table(vals, q, m):
     return T.reshape(q, size)
 
 
+def onehot_walsh_table(vals, q, m):
+    """The one-hot rounds that ran for every q before the sign rounds took
+    over even q, kept as a reference: float32 matmuls of the table T[x, v]
+    against the 0/1 round matrices, k digits a round with q^(k+1) <= 16."""
+    k = 1
+    while q ** (k + 2) <= 16:
+        k += 1
+    size = q ** m
+    T = np.take(kernels._round_matrix(q, 0)[0], vals, axis=0)
+    for lo in range(0, m, k):
+        g = min(k, m - lo)
+        T = np.matmul(T.reshape(size // q ** g, q ** g * q), kernels._round_matrix(q, g)).reshape(size, q)
+    return T.T.astype(np.int32, order="C")
+
+
 def brute_walsh_table(vals, q, m):
     """T[v, l] = #{x : vals[x] + l.x = v}, counted one functional l at a time."""
     F = small_field(q)
@@ -261,10 +276,12 @@ def brute_walsh_table(vals, q, m):
     return T
 
 
-# every q from 2 to 9, so non-prime q and one-digit rounds are covered, and
-# m from 1 up, so every remainder of m by the digits per round occurs
+# every q from 2 to 9 and q = 16, so non-prime q and one-digit rounds are
+# covered, and m from 1 up, so every remainder of m by the digits per
+# round occurs (k = 4, 2, 1, 1 at q = 2, 4, 8, 16; k = 1 at odd q)
 WALSH_FIELDS = [(2, m) for m in range(1, 11)] + [(3, m) for m in range(1, 6)] + [
-    (4, 1), (4, 3), (4, 5), (5, 1), (5, 3), (7, 2), (7, 3), (8, 3), (9, 3)]
+    (4, 1), (4, 2), (4, 3), (4, 4), (4, 5), (5, 1), (5, 3), (7, 2), (7, 3), (8, 1), (8, 2), (8, 3),
+    (9, 3), (16, 1), (16, 2)]
 
 
 @pytest.mark.parametrize("q,m", WALSH_FIELDS)
@@ -275,12 +292,56 @@ def test_walsh_table_matches_gather_and_brute_force(q, m):
         assert T.dtype == np.int32 and T.flags.c_contiguous
         assert np.array_equal(T, brute_walsh_table(vals, q, m))
         assert T.tobytes() == gather_walsh_table(vals, q, m).tobytes()
+        assert T.tobytes() == onehot_walsh_table(vals, q, m).tobytes()
 
 
-@pytest.mark.parametrize("q,m", [(2, 13), (2, 14), (3, 7), (4, 6), (8, 4), (9, 4)])
+@pytest.mark.parametrize("q,m", [(2, 13), (2, 14), (3, 7), (4, 6), (4, 7), (8, 4), (9, 4), (16, 3)])
 def test_walsh_table_matches_gather_on_larger_fields(q, m):
     vals = np.random.default_rng(q * 100 + m).integers(0, q, q ** m)
-    assert kernels.walsh_table(vals, q, m).tobytes() == gather_walsh_table(vals, q, m).tobytes()
+    T = kernels.walsh_table(vals, q, m)
+    assert T.tobytes() == gather_walsh_table(vals, q, m).tobytes()
+    if q % 2 == 0:
+        assert T.tobytes() == onehot_walsh_table(vals, q, m).tobytes()
+
+
+@pytest.mark.parametrize("q,m", [(4, 4), (8, 3), (16, 2)])
+def test_character_sum_one_bit_at_a_time(q, m, monkeypatch):
+    # with the float32 limit lowered to q^m, (q-1) q^m exceeds twice the
+    # limit, so the character sum of walsh_table takes the two-term steps
+    # that it takes on the largest fields
+    monkeypatch.setattr(kernels, "_FLOAT32_EXACT", q ** m)
+    rng = np.random.default_rng(q * 10 + m)
+    for vals in (rng.integers(0, q, q ** m), np.zeros(q ** m, dtype=np.int64)):
+        assert kernels.walsh_table(vals, q, m).tobytes() == brute_walsh_table(vals, q, m).tobytes()
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_binary_coset_histogram_matches_walsh_table(m):
+    # at q = 2 the kernel reads the histogram off the spectrum W alone; the
+    # reference takes Z = T - [v = 0] over the whole table T and reverses
+    fld, trv2, pair, neg = field_tables(2, m)
+    rng = np.random.default_rng(m)
+    for qv in (rng.integers(0, 2, fld.n).astype(np.int64), np.zeros(fld.n, dtype=np.int64)):
+        _, vals = kernels._coset_vals(qv, trv2, pair, neg)
+        T = gather_walsh_table(vals, 2, m)
+        T[0] -= 1
+        expected = np.bincount(T.ravel(), minlength=fld.n + 1)[::-1]
+        assert np.array_equal(kernel_counts(qv, trv2, pair, neg), expected)
+
+
+def test_even_walsh_table_memory():
+    # GF(16^4): the sign rounds hold two float32 arrays of (q-1) q^m
+    # entries, the character sum and the int32 result one of q q^m each
+    q, m = 16, 4
+    vals = np.random.default_rng(5).integers(0, q, q ** m)
+    kernels.walsh_table(vals, q, m)  # build the cached round matrices first
+    tracemalloc.start()
+    try:
+        kernels.walsh_table(vals, q, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (q - 1) * q ** m * 4, peak
 
 
 def test_walsh_table_refuses_counts_beyond_float32():

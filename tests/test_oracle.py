@@ -109,7 +109,7 @@ def test_worker_count_independence():
     assert one.min_positive_weight() == 23
 
 
-def test_worker_count_independence_pooled(monkeypatch):
+def record_pools(monkeypatch):
     started = []
 
     class RecordingPool(oracle.ThreadPoolExecutor):
@@ -118,12 +118,29 @@ def test_worker_count_independence_pooled(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(oracle, "ThreadPoolExecutor", RecordingPool)
-    params = code_params(4, 6, 2)
+    return started
+
+
+def test_worker_count_independence_pooled(monkeypatch):
+    started = record_pools(monkeypatch)
+    params = code_params(3, 8, 3)  # odd q, q^(m+2) = 3^10 >= 2^15
     one = trace_route_weights(params, workers=1)
     two = trace_route_weights(params, workers=2)
     three = trace_route_weights(params, workers=3)
     assert started == [2, 3]
     assert one.counts == two.counts == three.counts
+    assert one.min_positive_weight() == params.delta_i
+
+
+def test_even_q_scan_starts_no_pool(monkeypatch):
+    # the sign rounds of even q ran slower on two threads than on one, so
+    # (4,6,2), with q^(m+2) = 2^16, scans on the calling thread
+    started = record_pools(monkeypatch)
+    params = code_params(4, 6, 2)
+    one = trace_route_weights(params, workers=1)
+    two = trace_route_weights(params, workers=2)
+    assert started == []
+    assert one.counts == two.counts
     assert one.min_positive_weight() == params.delta_i
 
 

@@ -306,3 +306,20 @@ def test_family_scans_refuse_before_the_field(monkeypatch, scan):
     with pytest.raises(BudgetExceeded):
         scan()
     assert built == []
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_verify_schemes_counts_each_census_once(q, monkeypatch):
+    # the Schmidt list, the correspondences and the dg-bound check share
+    # S1(3,3,1), S2(3,4,2) and A1(2,5,2); each family is counted once
+    computed = []
+    real = verify.census_inner_distribution
+
+    def counting(spec, budget):
+        computed.append(spec)
+        return real(spec, budget)
+
+    monkeypatch.setattr(verify, "census_inner_distribution", counting)
+    checks = verify.verify_schemes(q)
+    assert computed and len(computed) == len(set(computed)), computed
+    assert all(ok for _, ok, _ in checks), checks
