@@ -19,13 +19,15 @@ points, so float32 is exact.
       T[v, l] = (q^m + sum_{j=1}^{q-1} (-1)^(j.v) W_j(l)) / q,
       W_j(l) = sum_x (-1)^(j.(f(x) + l.x)).
   The sign of x factors over its digits, so the q-1 rows W_j take rounds
-  of (q-1) q^(m+k) multiply-adds on (q-1) q^m entries, and the character
-  sum is one more matmul of q (q-1) q^m.  The division is by a power of
-  two, so it stays exact.
+  of (q-1) q^(m+k) multiply-adds on (q-1) q^m entries.  The character sum
+  is a Hadamard transform taken one character bit at a time: e two-term
+  steps of 2 q^(m+1) multiply-adds, q = 2^e, each exact as its result is
+  a power of two times a signed count.  The division is by a power of two,
+  so it stays exact.
 
 One Walsh table is ceil(m/k) rounds (k from ``_round_digits``); its
 kernel work in multiply-adds is about ceil(m/k) q^(m+k+2) at odd q and
-ceil(m/k) (q-1) q^(m+k) + q (q-1) q^m at even q.
+ceil(m/k) (q-1) q^(m+k) + 2 e q^(m+1) at even q = 2^e.
 
 ``coset_weight_counts`` histograms the q^(m+1) words Q(x) + Tr(mu x) + eps
 of one PRM coset from T: mu -> Tr(mu .) runs over all linear functionals,
@@ -289,18 +291,15 @@ def walsh_table(vals, q: int, m: int) -> np.ndarray:
             g = min(k, m - lo)
             T = np.matmul(T.reshape(size // q ** g, q ** g * q), _round_matrix(q, g)).reshape(size, q)
         return T.T.astype(np.int32, order="C")
-    if (q - 1) * size <= 2 * _FLOAT32_EXACT:
-        # one matmul: every W_j is even, so each partial sum is an even
-        # integer of at most (q-1) q^m <= 2^25 (divided by q), exact
-        T = np.matmul(_hadamard(q)[:, 1:], _sign_spectra(vals, q, m))
-        T += size / q
-    else:
-        # one character bit at a time: each step is a two-term sum whose
-        # result is 2^b times a count of at most q^m points (divided by q)
-        T = np.empty((q, size), dtype=np.float32)
-        T[0], T[1:] = size / q, _sign_spectra(vals, q, m)
-        for b in range(q.bit_length() - 1):
-            T = np.matmul(_hadamard(2), T.reshape(q >> (b + 1), 2, -1))
+    # one character bit at a time, on the rows [q^m, W_1, ..., W_(q-1)] / q:
+    # each step is a two-term sum whose result is a power of two times a
+    # signed count of at most q^m points (divided by q), so exact
+    W = _sign_spectra(vals, q, m)
+    T = np.empty((q, size), dtype=np.float32)
+    T[0], T[1:] = size / q, W
+    del W
+    for b in range(q.bit_length() - 1):
+        T = np.matmul(_hadamard(2), T.reshape(q >> (b + 1), 2, -1))
     return T.reshape(q, size).astype(np.int32)
 
 

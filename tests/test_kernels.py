@@ -304,17 +304,6 @@ def test_walsh_table_matches_gather_on_larger_fields(q, m):
         assert T.tobytes() == onehot_walsh_table(vals, q, m).tobytes()
 
 
-@pytest.mark.parametrize("q,m", [(4, 4), (8, 3), (16, 2)])
-def test_character_sum_one_bit_at_a_time(q, m, monkeypatch):
-    # with the float32 limit lowered to q^m, (q-1) q^m exceeds twice the
-    # limit, so the character sum of walsh_table takes the two-term steps
-    # that it takes on the largest fields
-    monkeypatch.setattr(kernels, "_FLOAT32_EXACT", q ** m)
-    rng = np.random.default_rng(q * 10 + m)
-    for vals in (rng.integers(0, q, q ** m), np.zeros(q ** m, dtype=np.int64)):
-        assert kernels.walsh_table(vals, q, m).tobytes() == brute_walsh_table(vals, q, m).tobytes()
-
-
 @pytest.mark.parametrize("m", range(2, 13))
 def test_binary_coset_histogram_matches_walsh_table(m):
     # at q = 2 the kernel reads the histogram off the spectrum W alone; the
@@ -331,7 +320,8 @@ def test_binary_coset_histogram_matches_walsh_table(m):
 
 def test_even_walsh_table_memory():
     # GF(16^4): the sign rounds hold two float32 arrays of (q-1) q^m
-    # entries, the character sum and the int32 result one of q q^m each
+    # entries, each step of the character sum two of q q^m, and the int32
+    # result one of q q^m next to the last step's
     q, m = 16, 4
     vals = np.random.default_rng(5).integers(0, q, q ** m)
     kernels.walsh_table(vals, q, m)  # build the cached round matrices first
