@@ -9,10 +9,6 @@ class NotPrime(BchFormsError):
     pass
 
 
-class ReducibleModulus(BchFormsError):
-    pass
-
-
 class InvalidSubfield(BchFormsError):
     pass
 

@@ -8,10 +8,13 @@ with the base-p encoding this makes the base-p digits of the integer the
 full coordinate vector over GF(p).  Zero is 0, one is 1, and GF(q) sits
 inside GF(q^m) as the indices 0..q-1.
 
-Multiplication in the extension goes through discrete-log tables, built by
-GF(p)-linear algebra on digit vectors; addition is base-p digit arithmetic
-(XOR when p = 2).  All tables are immutable after construction, so contexts
-are safe to share across worker threads.
+Multiplication goes through discrete-log tables, built by GF(p)-linear
+algebra on digit vectors; addition is base-p digit arithmetic (XOR when
+p = 2).  GF(q) for q = p^e, e >= 2, is built the same way, as the extension
+GF(p^e) of GF(p), and its dense tables are read off those logs.  Every
+numpy table is made read-only when it is built, and ``small_field`` and
+``field_for`` cache one object per field for the whole process, shared by
+fields, kernels, forms and worker threads.
 """
 
 from __future__ import annotations
@@ -21,18 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BchFormsError, EvenCharacteristic, InvalidSubfield, NotPrime, ReducibleModulus
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+from .errors import BchFormsError, EvenCharacteristic, InvalidSubfield, NotPrime
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -47,6 +39,11 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def digits(x, base: int, count: int) -> np.ndarray:
@@ -207,62 +204,48 @@ def smallest_irreducible(F: "SmallField", degree: int) -> list[int]:
 
 
 class SmallField:
-    """GF(p^e) with dense operation tables.
+    """GF(p^e) with dense, read-only operation tables.
 
-    Intended for small q (nothing here needs more than q = 9);
-    the q x q tables keep hot loops branch-free.
+    The q x q tables keep hot loops branch-free; the package reaches
+    q = 16 (GF(16^5) in the CLI examples), and the tables are exact up to
+    q = 256.  For e >= 2 the field is ``build_field(p, 1, e)`` and mul and
+    inv are read off its log/exp tables.
     """
 
     def __init__(self, p: int, e: int = 1):
-        if not is_prime(p):
+        if prime_power(p) != (p, 1):
             raise NotPrime(f"{p} is not prime")
         if e < 1:
             raise BchFormsError("extension degree must be >= 1")
         self.p = p
         self.e = e
-        self.q = p ** e
+        self.q = q = p ** e
 
+        digs = digits(np.arange(q), p, e)
+        ppow = p ** np.arange(e)
+        self.add = _frozen(((digs[:, None, :] + digs[None, :, :]) % p @ ppow).astype(np.uint8))
+        self.neg = _frozen(((-digs) % p @ ppow).astype(np.uint8))
         if e == 1:
             self.modulus = [0, 1]
+            mul = np.arange(q)[:, None] * np.arange(q) % p
+            inv = [0] + [pow(a, -1, p) for a in range(1, q)]
         else:
-            Fp = SmallField(p, 1)
-            self.modulus = smallest_irreducible(Fp, e)
-
-        q, pp = self.q, self.p
-        digs = digits(np.arange(q), pp, e)
-        ppow = pp ** np.arange(e)
-        self.add = ((digs[:, None, :] + digs[None, :, :]) % pp @ ppow).astype(np.uint8)
-        self.neg = (((-digs) % pp) @ ppow).astype(np.uint8)
-
-        mul = np.zeros((q, q), dtype=np.uint8)
-        if e == 1:
-            mul[:, :] = (np.arange(q)[:, None] * np.arange(q)[None, :]) % pp
-        else:
-            Fp = SmallField(p, 1)
-            for a in range(q):
-                ca = [int(x) for x in digs[a]]
-                for b in range(a, q):
-                    cb = [int(x) for x in digs[b]]
-                    prod = poly_mod(Fp, poly_mul(Fp, ca, cb), self.modulus)
-                    prod = prod + [0] * (e - len(prod))
-                    val = sum(c * pp ** i for i, c in enumerate(prod))
-                    mul[a, b] = val
-                    mul[b, a] = val
-        self.mul = mul
-
-        inv = np.zeros(q, dtype=np.uint8)
-        for a in range(1, q):
-            inv[a] = np.nonzero(mul[a] == 1)[0][0]
-        self.inv = inv
+            ext = build_field(p, 1, e)
+            self.modulus = ext.ext_modulus
+            exp, log = ext.exp_index, ext.log_index[1:]
+            mul = np.zeros((q, q), dtype=np.int64)
+            mul[1:, 1:] = exp[(log[:, None] + log) % (q - 1)]
+            inv = [0] + exp[-log % (q - 1)].tolist()
+        self.mul = _frozen(mul.astype(np.uint8))
+        self.inv = _frozen(np.array(inv, dtype=np.uint8))
 
         # list copies for scalar lookups, several times cheaper than numpy's
         self.add_rows = self.add.tolist()
-        self.mul_rows = mul.tolist()
+        self.mul_rows = self.mul.tolist()
         self.neg_list = self.neg.tolist()
-        self.inv_list = inv.tolist()
+        self.inv_list = self.inv.tolist()
 
-        squares = sorted({int(mul[a, a]) for a in range(1, q)})
-        self.squares = frozenset(squares)
+        self.squares = frozenset(self.mul.diagonal()[1:].tolist())
         self._eta = [0] + [1 if a in self.squares else -1 for a in range(1, q)]
 
     # scalar ops (ints in 0..q-1)
@@ -362,17 +345,18 @@ def _gfp_apply(L: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
 class FieldContext:
     """The tower GF(p) < GF(q) < GF(q^m) with log/exp tables.
 
-    Immutable after construction; every table is read-only from then on.
+    Built complete by ``build_field``; every table is read-only, and the
+    trace tables are built on first use.
     """
 
     base: SmallField
     m: int
     ext_modulus: list[int]
-    alpha: int = 0
-    exp_index: np.ndarray = dataclass_field(default=None, repr=False)
-    log_index: np.ndarray = dataclass_field(default=None, repr=False)
-    _trace_vec: np.ndarray = dataclass_field(default=None, repr=False)
-    _half_trace_vec: np.ndarray = dataclass_field(default=None, repr=False)
+    alpha: int
+    exp_index: np.ndarray = dataclass_field(repr=False)
+    log_index: np.ndarray = dataclass_field(repr=False)
+    _trace_vec: np.ndarray | None = dataclass_field(default=None, repr=False)
+    _half_trace_vec: np.ndarray | None = dataclass_field(default=None, repr=False)
 
     @property
     def p(self) -> int:
@@ -459,7 +443,7 @@ class FieldContext:
             tau = self._frob_sum_matrix(self.m)
             if tau[self.e:].any():
                 raise BchFormsError("trace left GF(q)")  # internal bug
-            self._trace_vec = _gfp_apply(tau[:self.e], self.exp_index, self.p)
+            self._trace_vec = _frozen(_gfp_apply(tau[:self.e], self.exp_index, self.p))
         return self._trace_vec
 
     @property
@@ -473,7 +457,7 @@ class FieldContext:
                 raise BchFormsError("half trace left GF(q)")  # internal bug
             out = np.zeros(self.n, dtype=np.int64)
             out[::s] = vals
-            self._half_trace_vec = out
+            self._half_trace_vec = _frozen(out)
         return self._half_trace_vec
 
     def to_spec(self) -> dict:
@@ -490,35 +474,26 @@ class FieldContext:
         return f"FieldContext(GF({self.q}^{self.m}), ext_modulus={self.ext_modulus})"
 
 
-def build_field(p: int, e: int, m: int, ext_modulus: list[int] | None = None) -> FieldContext:
-    """Construct the tower GF(p) < GF(p^e) < GF(p^(e*m)).
+def build_field(p: int, e: int, m: int) -> FieldContext:
+    """Construct the tower GF(p) < GF(p^e) < GF(p^(e*m)) over the cached
+    base ``small_field(p^e)``.
 
-    With no modulus given, the monic irreducible of degree m over GF(q)
+    The extension modulus is the monic irreducible of degree m over GF(q)
     with the smallest integer encoding (base-q digits of the non-leading
-    coefficients) is chosen, and alpha is the smallest element index of
-    multiplicative order q^m - 1.  Both choices are deterministic.
+    coefficients), and alpha is the smallest element index of
+    multiplicative order q^m - 1.  Both choices are deterministic, so
+    (p, e, m) fixes the field and ``to_spec()`` reproduces it.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
     if e < 1 or m < 1:
         raise BchFormsError("e and m must be >= 1")
-    base = SmallField(p, e)
+    base = small_field(p ** e)
+    if base.p != p:
+        raise NotPrime(f"{p} is not prime")
     q = base.q
-
-    if ext_modulus is None:
-        ext_modulus = smallest_irreducible(base, m)
-    else:
-        ext_modulus = list(ext_modulus)
-        if len(ext_modulus) != m + 1 or ext_modulus[-1] != 1:
-            raise ReducibleModulus("extension modulus must be monic of degree m")
-        if not poly_is_irreducible(base, ext_modulus):
-            raise ReducibleModulus(f"{ext_modulus} is reducible over GF({q})")
-
-    ctx = FieldContext(base=base, m=m, ext_modulus=ext_modulus)
+    ext_modulus = smallest_irreducible(base, m)
     size = q ** m
     n = size - 1
 
-    # find alpha: smallest element index of order n
     def el_mul(x: int, y: int) -> int:
         cx = [x // q ** i % q for i in range(m)]
         cy = [y // q ** i % q for i in range(m)]
@@ -535,20 +510,10 @@ def build_field(p: int, e: int, m: int, ext_modulus: list[int] | None = None) ->
             k >>= 1
         return r
 
-    nfac = factorize(n) if n > 1 else {}
-    alpha = 0
-    for cand in range(1, size):
-        if n == 1:
-            alpha = cand  # GF(2): the only unit
-            break
-        if el_pow(cand, n) != 1:
-            continue
-        if all(el_pow(cand, n // r) != 1 for r in nfac):
-            alpha = cand
-            break
-    if alpha == 0:
-        raise BchFormsError("no primitive element found")  # impossible for a field
-    ctx.alpha = alpha
+    # alpha: the smallest unit whose order is no proper divisor of n (x^n = 1
+    # holds for every unit); GF(2) has no primes in n = 1 and takes alpha = 1
+    primes = factorize(n)
+    alpha = next(c for c in range(1, size) if all(el_pow(c, n // r) != 1 for r in primes))
 
     # exp table by block doubling: exp[B:2B] = alpha^B * exp[:B], where
     # "multiply by alpha^B" is the GF(p)-matrix A^B on base-p digit vectors
@@ -567,9 +532,8 @@ def build_field(p: int, e: int, m: int, ext_modulus: list[int] | None = None) ->
     log_index[exp_index] = np.arange(n)
     if (log_index[1:] < 0).any():
         raise BchFormsError("exp table is not a bijection")  # internal bug
-    ctx.exp_index = exp_index
-    ctx.log_index = log_index
-    return ctx
+    return FieldContext(base=base, m=m, ext_modulus=ext_modulus, alpha=alpha,
+                        exp_index=_frozen(exp_index), log_index=_frozen(log_index))
 
 
 @lru_cache(maxsize=None)

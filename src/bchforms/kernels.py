@@ -148,9 +148,11 @@ def _build_plan(trv2: np.ndarray, pair: np.ndarray, q: int) -> _Plan:
         acc = add[acc, mul[trv2[unit[b] + m], win[:, b]]]
     if not np.array_equal(acc, win[:, m]):
         raise NotAnMSequence("the trace vector does not satisfy a linear recurrence of order m")
-    # Tr(alpha^k x) at x = e_j is trv[t_j + k]: the functional's coordinates
+    # Tr(alpha^k x) at x = e_j is trv[t_j + k]: the functional's coordinates,
+    # summed one shifted slice at a time (no m x n index array)
     rows = np.zeros(n + 1, dtype=np.int64)
-    rows[1:] = trv2[unit[:, None] + np.arange(n)].T @ qpow
+    for b in range(m):
+        rows[1:] += trv2[unit[b]:unit[b] + n] * qpow[b]
     trv2.setflags(write=False)
     pair.setflags(write=False)
     return _Plan(trv2=trv2, pair=pair, m=m, pos=pos, rows=rows)

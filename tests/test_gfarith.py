@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from bchforms import gfarith
 from bchforms.cyclotomic import theorem_sweep
-from bchforms.errors import EvenCharacteristic, InvalidSubfield, NotPrime, ReducibleModulus
+from bchforms.errors import EvenCharacteristic, InvalidSubfield, NotPrime
 from bchforms.gfarith import FieldContext, SmallField, build_field, field_for, small_field
 
 
@@ -75,6 +77,32 @@ def reference_tables(p: int, e: int, m: int):
     return alpha, exp, log, trace, half
 
 
+def reference_small_field(p: int, e: int):
+    """modulus, add, neg, mul and inv of GF(p^e) by coefficient lists: every
+    sum and every product of two elements reduced mod the smallest
+    irreducible of degree e over GF(p), and each inverse found by search in
+    its row of the product table."""
+    Fp, q = small_field(p), p ** e
+    modulus = gfarith.smallest_irreducible(Fp, e)
+    coeffs = gfarith.digits(np.arange(q), p, e).tolist()
+
+    def index(c):
+        return sum(x * p ** k for k, x in enumerate(c))
+
+    add = np.zeros((q, q), dtype=np.uint8)
+    mul = np.zeros((q, q), dtype=np.uint8)
+    for a in range(q):
+        for b in range(a, q):
+            add[a, b] = add[b, a] = index(gfarith.poly_add(Fp, coeffs[a], coeffs[b]))
+            prod = gfarith.poly_mod(Fp, gfarith.poly_mul(Fp, coeffs[a], coeffs[b]), modulus)
+            mul[a, b] = mul[b, a] = index(prod)
+    neg = np.array([index(gfarith.poly_scale(Fp, c, p - 1)) for c in coeffs], dtype=np.uint8)
+    inv = np.zeros(q, dtype=np.uint8)
+    for a in range(1, q):
+        inv[a] = np.nonzero(mul[a] == 1)[0][0]
+    return modulus, add, neg, mul, inv
+
+
 def digitwise(p: int, count: int, *xs: int, sign: int = 1) -> int:
     """Coordinate-wise sign * (x_1 + x_2 + ...) over GF(p), digit by digit."""
     return sum(sign * sum(x // p ** k % p for x in xs) % p * p ** k for k in range(count))
@@ -121,12 +149,6 @@ def test_not_prime_rejected():
         build_field(4, 1, 2)
     with pytest.raises(NotPrime):
         small_field(6)
-
-
-def test_reducible_modulus_rejected():
-    # x^2 + 1 = (x+1)^2 over GF(2)
-    with pytest.raises(ReducibleModulus):
-        build_field(2, 1, 2, ext_modulus=[1, 0, 1])
 
 
 @pytest.mark.parametrize("p,e,m", SMALL_TOWERS)
@@ -180,8 +202,9 @@ def test_trace_of_subfield_elements():
 
 
 def test_trace_gf8_explicit():
-    # modulus x^3 + x + 1 over GF(2); Tr(a) = a + a^2 + a^4
-    ctx = build_field(2, 1, 3, ext_modulus=[1, 1, 0, 1])
+    # the modulus is x^3 + x + 1 over GF(2); Tr(a) = a + a^2 + a^4
+    ctx = build_field(2, 1, 3)
+    assert ctx.ext_modulus == [1, 1, 0, 1]
     a = ctx.alpha
     s = ctx.add(ctx.add(a, ctx.pow(a, 2)), ctx.pow(a, 4))
     assert ctx.trace_vec[ctx.log_index[a]] == s
@@ -239,9 +262,60 @@ def test_upsilon():
 def test_field_spec_roundtrip():
     ctx = field_for(4, 3)
     spec = ctx.to_spec()
-    ctx2 = build_field(spec["p"], spec["e"], spec["m"], ext_modulus=spec["ext_modulus"])
+    ctx2 = build_field(spec["p"], spec["e"], spec["m"])
+    assert ctx2.to_spec() == spec
     assert ctx2.alpha == ctx.alpha
     assert np.array_equal(ctx2.exp_index, ctx.exp_index)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 243, 256])
+def test_small_field_equals_polynomial_products(q):
+    F = small_field(q)
+    modulus, add, neg, mul, inv = reference_small_field(F.p, F.e)
+    assert F.modulus == modulus
+    for table, ref in ((F.add, add), (F.neg, neg), (F.mul, mul), (F.inv, inv)):
+        assert table.dtype == np.uint8
+        assert table.tobytes() == ref.tobytes()
+    assert F.squares == {int(mul[a, a]) for a in range(1, q)}
+
+
+def test_one_small_field_per_q():
+    assert field_for(4, 3).base is field_for(4, 5).base is build_field(2, 2, 2).base is small_field(4)
+    assert field_for(16, 2).base is small_field(16)
+    assert small_field(16).modulus == build_field(2, 1, 4).ext_modulus
+
+
+def test_tables_are_read_only():
+    fld = field_for(4, 4)
+    F = fld.base
+    for table in (fld.exp_index, fld.log_index, fld.trace_vec, fld.half_trace_vec,
+                  F.add, F.neg, F.mul, F.inv):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = table[1]
+
+
+# every q <= 9 at small and large m, the classify-form fields of the
+# cli-cold benchmark, and GF(q^2) up to q = 64
+DIGEST_GRID = [(2, 1), (2, 2), (2, 5), (2, 8), (2, 13), (2, 19), (3, 1), (3, 4), (3, 11), (4, 3),
+               (4, 9), (5, 4), (5, 7), (7, 3), (8, 4), (9, 3), (16, 4), (25, 2), (27, 2), (32, 2),
+               (49, 2), (64, 2)]
+# taken while GF(q) was still built from q^2 polynomial products; a change
+# to the field layer has to keep every table byte-equal
+DIGEST_GRID_SHA256 = "7a18438b4556d25266f4672c3cb6dd2023de0a3ecb532637aeb12dfb8ac4c918"
+
+
+def test_field_tables_digest():
+    h = hashlib.sha256()
+    for q, m in DIGEST_GRID:
+        fld = field_for(q, m)
+        h.update(json.dumps(fld.to_spec()).encode())
+        h.update(str(fld.alpha).encode())
+        tables = [fld.exp_index, fld.log_index, fld.trace_vec] + ([fld.half_trace_vec] if m % 2 == 0 else [])
+        for table in tables:
+            h.update(table.dtype.str.encode())
+            h.update(table.tobytes())
+    assert h.hexdigest() == DIGEST_GRID_SHA256
 
 
 def test_smallfield_gf9_squares():

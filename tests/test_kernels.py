@@ -190,8 +190,8 @@ def test_field_inputs_are_the_read_only_plan_arrays():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[1]
-    # the field's own trace vector is copied, never frozen
-    assert fld.trace_vec.flags.writeable
+    # the plan holds its own copy of the field's trace vector
+    assert not np.shares_memory(trv2, fld.trace_vec)
 
 
 def test_equal_writeable_copy_gets_the_same_counts():
@@ -332,6 +332,21 @@ def test_even_walsh_table_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * (q - 1) * q ** m * 4, peak
+
+
+def test_field_inputs_memory(monkeypatch):
+    # GF(2^19): the plan's arrays are a few int64 vectors of length n
+    # (4 MB each); an m x n index array would alone take 80 MB
+    fld = field_for(2, 19)
+    fld.trace_vec
+    monkeypatch.setattr(kernels, "_PLANS", ())
+    tracemalloc.start()
+    try:
+        kernels.field_inputs(fld)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 << 20, peak
 
 
 def test_walsh_table_refuses_counts_beyond_float32():
