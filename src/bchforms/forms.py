@@ -41,7 +41,11 @@ class SlotSpec:
 
 
 def family_slots(m: int, i: int) -> list[SlotSpec]:
-    """Lambda slots of the family Q1(i) (m odd) or Q2(i) (m even)."""
+    """Lambda slots of the family Q1(i) (m odd) or Q2(i) (m even);
+    OutOfRange for an (m, i) with no family."""
+    # i = m - 1 already spans every form; a slot j > m would repeat x^(q^(j-m)+1)
+    if m < 1 or family_exponent(m, i) < 0 or i >= m:
+        raise OutOfRange(f"no family with i={i} for m={m}")
     if m % 2:
         return [SlotSpec(j, False) for j in range((m + 1) // 2, i + 2)]
     return [SlotSpec(m // 2, True)] + [SlotSpec(j, False) for j in range((m + 2) // 2, i + 2)]

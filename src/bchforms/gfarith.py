@@ -84,10 +84,6 @@ def poly_add(F: "SmallField", a: list[int], b: list[int]) -> list[int]:
     return poly_trim(out)
 
 
-def poly_scale(F: "SmallField", a: list[int], s: int) -> list[int]:
-    return poly_trim([F.mul_el(c, s) for c in a])
-
-
 def poly_mul(F: "SmallField", a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
@@ -101,34 +97,25 @@ def poly_mul(F: "SmallField", a: list[int], b: list[int]) -> list[int]:
     return poly_trim(out)
 
 
-def poly_divmod(F: "SmallField", a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+def poly_mod(F: "SmallField", a: list[int], b: list[int]) -> list[int]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
     inv_lead = F.inv_el(b[-1])
     while len(r) >= len(b):
         c = F.mul_el(r[-1], inv_lead)
         d = len(r) - len(b)
-        q[d] = c
         for i, y in enumerate(b):
             r[d + i] = F.sub_el(r[d + i], F.mul_el(c, y))
         poly_trim(r)
-        if not r:
-            break
-    return poly_trim(q), r
-
-
-def poly_mod(F: "SmallField", a: list[int], b: list[int]) -> list[int]:
-    return poly_divmod(F, a, b)[1]
+    return r
 
 
 def poly_gcd(F: "SmallField", a: list[int], b: list[int]) -> list[int]:
+    """A gcd of a and b, up to a unit factor (not normalized to monic)."""
     a, b = list(a), list(b)
     while b:
         a, b = b, poly_mod(F, a, b)
-    if a:
-        a = poly_scale(F, a, F.inv_el(a[-1]))
     return a
 
 
@@ -158,7 +145,7 @@ def poly_is_irreducible(F: "SmallField", f: list[int]) -> bool:
         return False
     for r in factorize(d):
         g = poly_powmod(F, x, q ** (d // r), f)
-        g = poly_add(F, g, poly_scale(F, x, F.neg_el(1)))
+        g = poly_add(F, g, [0, F.neg_el(1)])  # x^(q^(d/r)) - x
         if poly_deg(poly_gcd(F, g, f)) != 0:
             return False
     return True
@@ -209,7 +196,9 @@ class SmallField:
     The q x q tables keep hot loops branch-free; the package reaches
     q = 16 (GF(16^5) in the CLI examples), and the tables are exact up to
     q = 256.  For e >= 2 the field is ``build_field(p, 1, e)`` and mul and
-    inv are read off its log/exp tables.
+    inv are read off its log/exp tables.  ``matmul`` is the one GF(q)
+    matrix product on element-index arrays, shared by the kernels, the
+    t-design test and the generator route.
     """
 
     def __init__(self, p: int, e: int = 1):
@@ -265,6 +254,19 @@ class SmallField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return self.inv_list[a]
+
+    def matmul(self, A, B) -> np.ndarray:
+        """The GF(q) product of element-index arrays (uint8): the last axis
+        of A contracted with the first axis of B, so the result has shape
+        A.shape[:-1] + B.shape[1:].  Each inner index k is one row gather,
+        mul[:, B[k]][A[..., k]], and one gather of the addition table."""
+        A, B = np.asarray(A), np.asarray(B)
+        if not A.ndim or not B.ndim or A.shape[-1] != B.shape[0]:
+            raise BchFormsError(f"cannot contract shapes {A.shape} and {B.shape}")
+        out = np.zeros(A.shape[:-1] + B.shape[1:], dtype=np.uint8)
+        for k in range(B.shape[0]):
+            out = self.add[out, self.mul[:, B[k]][A[..., k]]]
+        return out
 
     def quadratic_character(self, a: int) -> int:
         """eta(a): +1 for nonzero squares, -1 for nonsquares, 0 at zero."""

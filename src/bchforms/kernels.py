@@ -127,8 +127,7 @@ def _build_plan(trv2: np.ndarray, pair: np.ndarray, q: int) -> _Plan:
     """Check that the trace vector is an m-sequence and precompute its
     coordinates."""
     F = small_field(q)
-    add, mul = F.add.astype(np.int64), F.mul.astype(np.int64)
-    if not np.array_equal(pair, add.ravel()):
+    if not np.array_equal(pair, F.add.ravel()):
         raise BchFormsError(f"pair is not the addition table of GF({q})")
     n = trv2.shape[0] // 2
     m = max(1, round(np.log(n + 1) / np.log(q)))
@@ -143,10 +142,7 @@ def _build_plan(trv2: np.ndarray, pair: np.ndarray, q: int) -> _Plan:
     if not np.array_equal(pos[order], np.arange(1, n + 1)):
         raise NotAnMSequence("the length-m windows of the trace vector are not all distinct and nonzero")
     unit = order[qpow - 1]  # t_b: the position whose window is the unit vector e_b
-    acc = np.zeros(n, dtype=np.int64)
-    for b in range(m):
-        acc = add[acc, mul[trv2[unit[b] + m], win[:, b]]]
-    if not np.array_equal(acc, win[:, m]):
+    if not np.array_equal(F.matmul(win[:, :m], trv2[unit + m]), win[:, m]):
         raise NotAnMSequence("the trace vector does not satisfy a linear recurrence of order m")
     # Tr(alpha^k x) at x = e_j is trv[t_j + k]: the functional's coordinates,
     # summed one shifted slice at a time (no m x n index array)
@@ -190,12 +186,8 @@ def _round_digits(q: int) -> int:
 
 def _digit_dot(q: int, k: int) -> np.ndarray:
     """dot[c, y] = c.y in GF(q), over c, y in GF(q)^k as digit indices."""
-    F = small_field(q)
     d = digits(np.arange(q ** k), q, k)
-    dot = np.zeros((q ** k, q ** k), dtype=np.intp)
-    for b in range(k):
-        dot = F.add[dot, F.mul[d[:, None, b], d[None, :, b]]]
-    return dot
+    return small_field(q).matmul(d, d.T)
 
 
 @lru_cache(maxsize=None)

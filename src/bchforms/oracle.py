@@ -26,9 +26,9 @@ import numpy as np
 
 from . import kernels
 from .cyclotomic import CodeParams
-from .errors import CountMismatch
+from .errors import CountMismatch, OutOfRange
 from .forms import CoefficientForm, family_slots, polarize
-from .gfarith import FieldContext, field_for, small_field
+from .gfarith import FieldContext, digits, field_for, small_field
 from .schemes import (
     DEFAULT_BUDGET,
     EnumerationBudget,
@@ -81,6 +81,8 @@ def trace_route_weights(params: CodeParams, budget: EnumerationBudget = DEFAULT_
     Each member's value vector is one kernels.eval_qvec call on tables
     built once per code (qvec_tables): the index rows t*(q^j+1) mod n of
     every slot and the slot trace rows repeated twice."""
+    if workers is not None and workers < 1:
+        raise OutOfRange(f"workers={workers} is not a positive thread count")
     q, m = params.q, params.m
     budget.check_codewords(q ** params.dimension)
     spec = FamilySpec.quadratic(q, m, params.i)
@@ -104,7 +106,7 @@ def trace_route_weights(params: CodeParams, budget: EnumerationBudget = DEFAULT_
     # coset's transform is long; the sign rounds of even q are left to
     # BLAS's own threads (timings at POOL_MIN_TRANSFORM)
     w = workers if workers is not None else default_workers()
-    w = max(1, min(w, spec.size)) if q % 2 and q ** (m + 2) >= POOL_MIN_TRANSFORM else 1
+    w = min(w, spec.size) if q % 2 and q ** (m + 2) >= POOL_MIN_TRANSFORM else 1
     if w == 1:
         counts = scan(members)
     else:
@@ -122,34 +124,37 @@ def trace_route_weights(params: CodeParams, budget: EnumerationBudget = DEFAULT_
     )
 
 
+# generator_route_weights holds its block of low-row combinations, and
+# each slice of offsets, in at most this many GF(q) entries
+_GENERATOR_BLOCK = 1 << 20
+
+
 def generator_route_weights(code, budget: EnumerationBudget = DEFAULT_BUDGET) -> WeightEnumerator:
     """Weight distribution by iterating all information words against the
-    generator-polynomial row space (chunked, vectorized over rows)."""
+    generator-polynomial rows g(x) x^r, r < k.
+
+    A word is a combination of the low rows, from one precomputed block of
+    all q^low of them, plus a combination of the high rows, its offset: one
+    addition gather of the block per offset.  The offsets are produced q^low
+    at a time, so the block and each slice hold at most _GENERATOR_BLOCK
+    entries: low = min(ceil(k/2), the largest l with q^l n <= _GENERATOR_BLOCK)."""
     field = code.field
     q, n, k = field.q, code.length, code.dimension
     budget.check_codewords(q ** k)
     F = field.base
-    rows = np.zeros((k, n), dtype=np.int64)
-    g = np.array(code.generator, dtype=np.int64)
+    rows = np.zeros((k, n), dtype=np.uint8)
     for r in range(k):
-        rows[r, r : r + len(g)] = g  # deg g = n-k, so shifts never wrap
-    add = F.add.astype(np.int64)
-    mul = F.mul.astype(np.int64)
+        rows[r, r : r + len(code.generator)] = code.generator  # deg g = n-k, so shifts never wrap
+    low = 0
+    while low < (k + 1) // 2 and q ** (low + 1) * n <= _GENERATOR_BLOCK:
+        low += 1
+    block = F.matmul(digits(np.arange(q ** low), q, low), rows[:low])
+    high = k - low
     counts = np.zeros(n + 1, dtype=np.int64)
-    total = q ** k
-    chunk = 1 << 14
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        acc = np.zeros((hi - lo, n), dtype=np.int64)
-        for r in range(k):
-            digit = idx // q ** r % q
-            for d in range(1, q):
-                mask = digit == d
-                if mask.any():
-                    acc[mask] = add[acc[mask], mul[d, rows[r]][None, :]]
-        weights = np.count_nonzero(acc, axis=1)
-        counts += np.bincount(weights, minlength=n + 1)
+    for lo in range(0, q ** high, q ** low):
+        idx = np.arange(lo, min(lo + q ** low, q ** high))
+        for offset in F.matmul(digits(idx, q, high), rows[low:]):
+            counts += np.bincount(np.count_nonzero(F.add[block, offset], axis=1), minlength=n + 1)
     return WeightEnumerator(counts={w: int(c) for w, c in enumerate(counts) if c}, length=n)
 
 

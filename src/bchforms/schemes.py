@@ -96,9 +96,7 @@ class FamilySpec:
         if self.kind not in FAMILY_KINDS:
             raise OutOfRange(f"unknown family kind {self.kind}")
         prime_power(self.q)
-        # i = m - 1 already spans every form; a slot j > m would repeat x^(q^(j-m)+1)
-        if self.m < 1 or self.m * (2 * self.i - self.m + 3) < 0 or self.i >= self.m:
-            raise OutOfRange(f"no family {self.kind}({self.i}) for m={self.m}")
+        family_slots(self.m, self.i)
         want_odd = self.kind.endswith("1")
         if want_odd != (self.m % 2 == 1):
             raise ParityMismatch(f"{self.kind} needs m {'odd' if want_odd else 'even'}")
@@ -379,51 +377,32 @@ def subspace_representatives(q: int, m: int, t: int):
             yield rows
 
 
-def _restrict(F, gram: np.ndarray, rows: list[list[int]]) -> tuple:
-    t = len(rows)
-    m = len(rows[0])
-    out = []
-    for a in range(t):
-        for b in range(t):
-            acc = 0
-            for s in range(m):
-                ra = rows[a][s]
-                if ra == 0:
-                    continue
-                for u in range(m):
-                    rb = rows[b][u]
-                    if rb:
-                        acc = F.add_el(acc, F.mul_el(ra, F.mul_el(int(gram[s, u]), rb)))
-            out.append(acc)
-    return tuple(out)
-
-
 def t_design_check(members, t: int, q: int, m: int) -> bool:
     """Combinatorial t-design test in Sym(m, q): the number of members
     extending each symmetric form on each t-dimensional subspace must be one
-    constant.  `members` is an iterable of GramMatrix."""
+    constant.  `members` is an iterable of GramMatrix.
+
+    The Grams are stacked once as an N x m x m array.  For each subspace U
+    with basis rows R, every member's restriction R G R^T comes from two
+    GF(q) products, and the restrictions are tallied by all t^2 entries."""
     if not 0 <= t <= m:
         raise OutOfRange(f"t={t} out of [0, m={m}]")
     if t == 0:
         return True
     F = small_field(q)
-    grams = [g.entries for g in members]
+    grams = np.array([g.entries for g in members], dtype=np.uint8).reshape(-1, m, m)
+    by_row = grams.transpose(1, 0, 2)  # by_row[s, member, u] = G[s, u]
     n_forms_on_u = q ** (t * (t + 1) // 2)
-    constant = None
+    counts: set[int] = set()  # over every form on every subspace so far
     for rows in subspace_representatives(q, m, t):
-        tally: dict = {}
-        for g in grams:
-            key = _restrict(F, g, rows)
-            tally[key] = tally.get(key, 0) + 1
-        counts = set(tally.values())
+        R = np.array(rows, dtype=np.uint8)
+        restricted = F.matmul(F.matmul(R, by_row), R.T)  # [a, member, b]
+        keys = restricted.transpose(1, 0, 2).reshape(len(grams), t * t)
+        tally = np.unique(keys, axis=0, return_counts=True)[1]
+        counts.update(tally.tolist())
         if len(tally) < n_forms_on_u:
             counts.add(0)  # some form on U has no extension at all
         if len(counts) != 1:
-            return False
-        c = counts.pop()
-        if constant is None:
-            constant = c
-        elif c != constant:
             return False
     return True
 

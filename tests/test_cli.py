@@ -99,6 +99,13 @@ def test_classify_form(capsys):
     assert len(doc["payload"]["gram"]) == 3
 
 
+def test_classify_form_one_member_family(capsys):
+    # i = 0 at m = 3 has no slots: its one member is the zero form
+    code, doc = run_cli(capsys, "classify-form", "-q", "3", "-m", "3", "-i", "0", "--lambdas", ",")
+    assert code == 0
+    assert doc["payload"] == {"lambdas": [], "rank": 0, "type": 1, "gram": [[0] * 3] * 3}
+
+
 def test_inner_dist_both(capsys):
     code, doc = run_cli(
         capsys, "inner-dist", "--family", "S1", "-q", "3", "-m", "3", "-i", "1", "--method", "both"
@@ -204,6 +211,13 @@ LONG_COUNTS = [
     ("design-check", "--family", "S1", "-q", "3", "-m", "3", "-i", "1", "-t", "-1"),
     ("design-check", "--family", "S1", "-q", "3", "-m", "3", "-i", "1", "-t", "4"),
     *LONG_COUNTS,
+    # (m, i) with no family: slots past j = m, and a negative family exponent
+    ("classify-form", "-q", "2", "-m", "4", "-i", "9", "--lambdas", "1,0,0,0,0,0,0,0,0"),
+    ("classify-form", "-q", "3", "-m", "3", "-i", "-5", "--lambdas", ","),
+    # fewer than one worker thread
+    ("enumerator", "-q", "3", "-m", "3", "-i", "1", "--mode", "oracle", "--workers", "0"),
+    ("enumerator", "-q", "3", "-m", "3", "-i", "1", "--mode", "oracle", "--workers", "-1"),
+    ("verify", "examples", "--workers", "0"),
 ])
 def test_bad_input_is_one_json_error(capsys, argv):
     t0 = time.perf_counter()

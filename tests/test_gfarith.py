@@ -8,7 +8,7 @@ import pytest
 
 from bchforms import gfarith
 from bchforms.cyclotomic import theorem_sweep
-from bchforms.errors import EvenCharacteristic, InvalidSubfield, NotPrime
+from bchforms.errors import BchFormsError, EvenCharacteristic, InvalidSubfield, NotPrime
 from bchforms.gfarith import FieldContext, SmallField, build_field, field_for, small_field
 
 
@@ -96,7 +96,7 @@ def reference_small_field(p: int, e: int):
             add[a, b] = add[b, a] = index(gfarith.poly_add(Fp, coeffs[a], coeffs[b]))
             prod = gfarith.poly_mod(Fp, gfarith.poly_mul(Fp, coeffs[a], coeffs[b]), modulus)
             mul[a, b] = mul[b, a] = index(prod)
-    neg = np.array([index(gfarith.poly_scale(Fp, c, p - 1)) for c in coeffs], dtype=np.uint8)
+    neg = np.array([index([Fp.neg_el(x) for x in c]) for c in coeffs], dtype=np.uint8)
     inv = np.zeros(q, dtype=np.uint8)
     for a in range(1, q):
         inv[a] = np.nonzero(mul[a] == 1)[0][0]
@@ -277,6 +277,43 @@ def test_small_field_equals_polynomial_products(q):
         assert table.dtype == np.uint8
         assert table.tobytes() == ref.tobytes()
     assert F.squares == {int(mul[a, a]) for a in range(1, q)}
+
+
+def scalar_matmul(F, A, B):
+    """Reference for SmallField.matmul: the triple loop of scalar products
+    and sums, over the last axis of A and the first axis of B."""
+    A, B = np.asarray(A), np.asarray(B)
+    out = np.zeros(A.shape[:-1] + B.shape[1:], dtype=np.int64)
+    for i in np.ndindex(A.shape[:-1]):
+        for j in np.ndindex(B.shape[1:]):
+            acc = 0
+            for k in range(A.shape[-1]):
+                acc = F.add_el(acc, F.mul_el(int(A[i + (k,)]), int(B[(k,) + j])))
+            out[i + j] = acc
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_matmul_equals_scalar_loop(q):
+    F = small_field(q)
+    rng = np.random.default_rng(q)
+    cases = [
+        ((4, 5), (5, 3)),     # plain matrices
+        ((6, 4), (4,)),       # 1-D B: matrix times vector
+        ((4,), (4, 3)),       # 1-D A: vector times matrix
+        ((3, 2, 5), (5, 4)),  # batched A
+        ((3, 5), (5, 2, 4)),  # batched B
+        ((3, 0), (0, 4)),     # inner dimension 0: all zero
+    ]
+    for a_shape, b_shape in cases:
+        A = rng.integers(0, q, a_shape)
+        B = rng.integers(0, q, b_shape).astype(np.uint8)
+        got = F.matmul(A, B)
+        assert got.dtype == np.uint8
+        assert got.shape == a_shape[:-1] + b_shape[1:]
+        assert np.array_equal(got, scalar_matmul(F, A, B)), (q, a_shape, b_shape)
+    with pytest.raises(BchFormsError):
+        F.matmul(np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 3), dtype=np.uint8))
 
 
 def test_one_small_field_per_q():

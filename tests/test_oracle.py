@@ -84,8 +84,59 @@ def test_trace_route_331_matches_closed_form():
     assert dist.counts == code_enumerator_odd(params).counts
 
 
+DESK_CODES = [(3, 3, 1), (2, 4, 1), (2, 4, 2), (2, 6, 2), (4, 2, 1)]
+
+
+def masked_generator_weights(code) -> dict[int, int]:
+    """Reference for generator_route_weights: every information word in
+    chunks, each row added into the words whose digit for it is d, one
+    digit value d at a time."""
+    F = code.field.base
+    q, n, k = F.q, code.length, code.dimension
+    rows = np.zeros((k, n), dtype=np.int64)
+    for r in range(k):
+        rows[r, r : r + len(code.generator)] = code.generator
+    add, mul = F.add.astype(np.int64), F.mul.astype(np.int64)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    chunk = 1 << 14
+    for lo in range(0, q ** k, chunk):
+        idx = np.arange(lo, min(lo + chunk, q ** k), dtype=np.int64)
+        acc = np.zeros((len(idx), n), dtype=np.int64)
+        for r in range(k):
+            digit = idx // q ** r % q
+            for d in range(1, q):
+                mask = digit == d
+                acc[mask] = add[acc[mask], mul[d, rows[r]][None, :]]
+        counts += np.bincount(np.count_nonzero(acc, axis=1), minlength=n + 1)
+    return {w: int(c) for w, c in enumerate(counts) if c}
+
+
+@pytest.mark.parametrize("q,m,i", DESK_CODES + [(2, 6, 3), (3, 4, 2), (5, 3, 1), (4, 3, 1)])
+def test_generator_route_equals_masked_reference(q, m, i):
+    code = generator_polynomial(q, m, code_params(q, m, i).delta_i)
+    gen = generator_route_weights(code)
+    assert gen.length == code.length
+    assert gen.counts == masked_generator_weights(code), (q, m, i)
+
+
+def test_generator_route_memory():
+    # C(2,12,2047): k = 13, n = 4095; the masked reference holds int64
+    # chunk x n arrays, 513 MB at its tracemalloc peak here
+    code = generator_polynomial(2, 12, 2047)
+    assert (code.dimension, code.length) == (13, 4095)
+    tracemalloc.start()
+    try:
+        dist = generator_route_weights(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20, peak
+    assert dist.total() == 2 ** 13
+    assert dist.min_positive_weight() >= 2047  # the BCH bound
+
+
 def test_routes_agree_desk_scale():
-    for q, m, i in [(3, 3, 1), (2, 4, 1), (2, 4, 2), (2, 6, 2), (4, 2, 1)]:
+    for q, m, i in DESK_CODES:
         params = code_params(q, m, i)
         code = generator_polynomial(q, m, params.delta_i)
         trace = trace_route_weights(params)
@@ -195,7 +246,7 @@ def test_zero_code_edge():
         g = gfarith.poly_mul(fld.base, g, minimal_polynomial(fld, s))
     code = CyclicCode(field=fld, length=7, generator=g, dimension=0)
     dist = generator_route_weights(code)
-    assert dist.counts == {0: 1}
+    assert dist.counts == masked_generator_weights(code) == {0: 1}
 
 
 def _appendix_by_matrix(q, m, forms):

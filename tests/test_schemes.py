@@ -1,4 +1,6 @@
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from bchforms import schemes, verify
 from bchforms.cyclotomic import code_params
 from bchforms.errors import BudgetExceeded, ParityMismatch
 from bchforms.forms import GramMatrix, classify_quadratic, family_slots
-from bchforms.gfarith import field_for
+from bchforms.gfarith import field_for, small_field
 from bchforms.oracle import rank_type_census
 from bchforms.schemes import (
     EnumerationBudget,
@@ -264,13 +266,60 @@ def test_design_check_s1_331():
     assert family_design_check(spec, 0)
 
 
+def corrupted_families():
+    """S1(3,3,1) with one nonzero member dropped, with one member doubled,
+    and with one member's Gram made non-symmetric."""
+    members = list(enumerate_family(FamilySpec("S1", 3, 3, 1)))
+    nonzero = [g for g in members if g.entries.any()]
+    dropped = nonzero[:-1] + [g for g in members if not g.entries.any()]
+    assert len(dropped) == len(members) - 1
+    skew = nonzero[0].entries.copy()
+    skew[0, 1] = (skew[0, 1] + 1) % 3
+    skewed = [GramMatrix(skew, g.field_q) if g is nonzero[0] else g for g in members]
+    return [dropped, members + nonzero[:1], skewed]
+
+
 def test_design_check_negative_control():
-    spec = FamilySpec("S1", 3, 3, 1)
-    members = list(enumerate_family(spec))
-    corrupted = [g for g in members if g.entries.any()][:-1]
-    corrupted += [g for g in members if not g.entries.any()]
-    assert len(corrupted) == len(members) - 1
-    assert not t_design_check(corrupted, 2, 3, 3)
+    for corrupted in corrupted_families():
+        assert not t_design_check(corrupted, 2, 3, 3)
+
+
+def scalar_t_design_check(members, t, q, m):
+    """Reference for t_design_check: each member's restriction to each
+    subspace, entry by entry in scalar GF(q) arithmetic, tallied in a dict."""
+    F = small_field(q)
+    grams = [g.entries for g in members]
+    n_forms_on_u = q ** (t * (t + 1) // 2)
+    constant = None
+    for rows in subspace_representatives(q, m, t) if t else ():
+        tally: dict = {}
+        for g in grams:
+            key = tuple(
+                functools.reduce(F.add_el, (F.mul_el(rows[a][s], F.mul_el(int(g[s, u]), rows[b][u]))
+                                            for s in range(m) for u in range(m)), 0)
+                for a in range(t) for b in range(t))
+            tally[key] = tally.get(key, 0) + 1
+        counts = set(tally.values())
+        if len(tally) < n_forms_on_u:
+            counts.add(0)
+        if len(counts) != 1 or (constant is not None and counts != {constant}):
+            return False
+        constant = counts.pop()
+    return True
+
+
+@pytest.mark.parametrize("members,t,q,m,verdict", [
+    # 27 members cannot cover the 3^6 forms on U = GF(3)^3
+    *[(("S1", 3, 3, 1), t, 3, 3, t < 3) for t in range(4)],
+    (("S1", 5, 3, 1), 2, 5, 3, True),
+    (("S2", 3, 4, 1), 2, 3, 4, False),
+    *[(k, 2, 3, 3, False) for k in range(3)],
+])
+def test_design_check_equals_scalar_reference(members, t, q, m, verdict):
+    # a kind tuple names a whole family, an int one of the corrupted families
+    members = (corrupted_families()[members] if isinstance(members, int)
+               else list(enumerate_family(FamilySpec(*members))))
+    assert t_design_check(members, t, q, m) == scalar_t_design_check(members, t, q, m) == verdict
 
 
 def test_member_cap_is_the_smaller_of_budget_and_scan_limit():
