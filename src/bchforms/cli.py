@@ -296,6 +296,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     t0 = time.time()
     try:
+        workers = getattr(args, "workers", None)
+        if workers is not None and workers < 1:
+            raise OutOfRange(f"--workers {workers} is not a positive thread count")
         # the one reader of BCHFORMS_BUDGET, which --budget overrides; the
         # budget goes to every library scan, and params and dg-bound scan nothing
         if args.func in (cmd_params, cmd_dg_bound):

@@ -9,27 +9,30 @@ Two concrete form flavours exist:
 * ``CoefficientForm`` — Q(x) = x^T C x on the plain vector space GF(q)^m;
   used for canonical forms and as oracle material.
 
-Both expose the same small surface (``values_by_index``, ``field_q``,
-``m`` and ``q``) so the classification code does not care which one it gets.
+Both expose the same small surface (``coefficient_matrix``,
+``values_by_index``, ``field_q``, ``m`` and ``q``), so the classification
+code does not care which one it gets.  Rank and type are read off the
+coefficient matrix M with Q(y) = y^T M y alone: a trace form gets its M
+from one GF(q) contraction of its lambdas with ``TraceTensor``, and no
+classification evaluates Q at the q^m points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import (
     ArityMismatch,
     BchFormsError,
-    CountMismatch,
     EvenCharacteristic,
     InvalidSubfield,
     OutOfRange,
     RankZero,
 )
-from .gfarith import FieldContext, SmallField, eta_minus_one, small_field
+from .gfarith import FieldContext, SmallField, _frozen, digits, eta_minus_one, small_field
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,8 @@ def family_slots(m: int, i: int) -> list[SlotSpec]:
 def family_domains(field: FieldContext, i: int) -> list[list[int]]:
     """The admissible lambda values of each slot of Q1(i)/Q2(i), sorted by
     element index; their product, in order, is the family."""
-    return [sorted(field.half_subfield_elements()) if s.half else list(range(field.size))
-            for s in family_slots(field.m, i)]
+    half = sorted(trace_tensor(field.base, tuple(field.ext_modulus), i).half_field)
+    return [half if s.half else list(range(field.size)) for s in family_slots(field.m, i)]
 
 
 def family_exponent(m: int, i: int) -> int:
@@ -114,6 +117,111 @@ class GramMatrix:
         return _row_reduce(self.entries, self.field_q)
 
 
+def _power_coords(F: SmallField, modulus: tuple[int, ...], count: int) -> np.ndarray:
+    """P[k] = GF(q) coordinates of x^k mod f for k < count, f the monic
+    modulus: x^(k+1) is x^k shifted up one place, its top coordinate c
+    folded back through x^m = -(f_0 + ... + f_(m-1) x^(m-1))."""
+    m = len(modulus) - 1
+    fold = F.neg[np.asarray(modulus[:m], dtype=np.int64)]
+    P = np.zeros((count, m), dtype=np.uint8)
+    row = np.eye(1, m, dtype=np.uint8)[0]
+    for k in range(count):
+        P[k] = row
+        row = F.add[np.concatenate(([0], row[:-1])), F.mul[row[-1], fold]]
+    return P
+
+
+def _gfp_matrix(F: SmallField, K: np.ndarray) -> np.ndarray:
+    """The GF(q)-linear map x -> sum_r x_r K[r] (K of shape (rows, cols))
+    as an int64 matrix on base-p digits: row r*e + u is the image of the
+    GF(q) element p^u in place r, column c*e + v the base-p digit v of
+    output c.  At prime q it is K itself."""
+    scaled = F.mul[(F.p ** np.arange(F.e))[:, None, None], K[None]]  # [u, r, c]
+    return digits(scaled, F.p, F.e).transpose(1, 0, 2, 3).reshape(K.shape[0] * F.e, K.shape[1] * F.e)
+
+
+class TraceTensor:
+    """The coefficient matrices M with Q(y) = y^T M y of the members of
+    Q1(i)/Q2(i) over one field, each one GF(q) contraction of the lambdas'
+    coordinates with a tensor built from the extension modulus f alone
+    (no log, exp or trace table), on the polynomial basis x^a:
+
+    * P[k], the coordinates of x^k mod f;
+    * t_k = Tr(x^k) = sum_d P[k+d][d], the trace of multiplication by x^k;
+    * H_c[a, b] = t_(a+b+c), so Tr(lam u v) = sum lam_c u_a v_b t_(a+b+c);
+    * Phi, the matrix of y -> y^q (column a is P[aq]), so that
+      Tr(lam y^(q^j) y) = y^T (sum_c lam_c K_j[c]) y with K_j[c] = (Phi^j)^T H_c;
+    * for the half slot, xi with xi + xi^(q^(m/2)) = 1, so that
+      Tr(xi z) = Tr_(q^(m/2)/q)(z) for z in GF(q^(m/2)): K_(m/2) is
+      precomposed with multiplication by xi.
+
+    The tensor is stored over GF(p) (``_gfp_matrix``), read-only, so a
+    contraction is one integer matmul mod p.  ``half_field`` holds the
+    element indices of GF(q^(m/2)), the kernel of Phi^(m/2) - 1, when the
+    family has a half slot.
+    """
+
+    def __init__(self, F: SmallField, modulus: tuple[int, ...], i: int):
+        m, q = len(modulus) - 1, F.q
+        self.field_q, self.m = F, m
+        self._place = F.p ** np.arange(F.e * m, dtype=np.int64)
+        slots = family_slots(m, i)
+        P = _power_coords(F, modulus, max(4 * m - 3, (m - 1) * q + 1))
+        t = np.zeros(3 * m - 2, dtype=np.uint8)
+        for d in range(m):
+            t = F.add[t, P[d:d + 3 * m - 2, d]]
+        ar = np.arange(m)
+        H = t[ar[:, None, None] + ar[None, :, None] + ar]  # H[c, a, b]
+        eye = np.eye(m, dtype=np.uint8)
+        powers = [eye]
+        for _ in range(max((s.j for s in slots), default=0)):
+            powers.append(F.matmul(P[ar * q].T, powers[-1]))
+        blocks = [np.zeros((0, m * m), dtype=np.uint8)]  # i = 0 at m = 3 has no slot
+        self.half_field: frozenset[int] = frozenset()
+        for s in slots:
+            K = F.matmul(powers[s.j].T, H.transpose(1, 0, 2)).transpose(1, 0, 2)  # K[c, a, b]
+            if s.half:
+                xi = _solve(F, F.add[eye, powers[s.j]], eye[0])
+                K = F.matmul(F.matmul(xi, P[ar[:, None] + ar]), K)  # row c: coordinates of xi x^c
+                self.half_field = self._kernel(F.add[powers[s.j], F.neg[eye]])
+            blocks.append(K.reshape(m, m * m))
+        self._K = _frozen(_gfp_matrix(F, np.concatenate(blocks)))
+
+    def coefficients(self, lambdas) -> np.ndarray:
+        """M of the member with these lambdas: m x m GF(q) indices, int64."""
+        F, m = self.field_q, self.m
+        coords = np.asarray(lambdas, dtype=np.int64)[:, None] // self._place % F.p  # over GF(p)
+        flat = coords.reshape(-1) @ self._K % F.p
+        return flat.reshape(m, m, F.e) @ (F.p ** np.arange(F.e))
+
+    def _kernel(self, A: np.ndarray) -> frozenset[int]:
+        """The element indices lam with A lam = 0, A a GF(q)-matrix: every
+        GF(p) combination of a kernel basis of A on base-p digits."""
+        p = self.field_q.p
+        G = _gfp_matrix(self.field_q, A.T)  # digits(lam) @ G = digits(A lam)
+        basis = np.array(radical_basis(GramMatrix(G.T, small_field(p))), dtype=np.int64)
+        combos = digits(np.arange(p ** len(basis)), p, len(basis))
+        return frozenset((combos @ basis % p @ self._place).tolist())
+
+
+@lru_cache(maxsize=None)
+def trace_tensor(F: SmallField, modulus: tuple[int, ...], i: int) -> TraceTensor:
+    """The TraceTensor of Q1(i)/Q2(i) over GF(q)[x]/(modulus), built once."""
+    return TraceTensor(F, modulus, i)
+
+
+def _solve(F: SmallField, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One solution of A x = b over GF(q), free coordinates zero."""
+    rows, pivots = _row_reduce(np.column_stack([A, b]), F)
+    m = A.shape[1]
+    if m in pivots:
+        raise BchFormsError("inconsistent linear system")  # internal bug
+    x = np.zeros(m, dtype=np.uint8)
+    for row, c in zip(rows, pivots):
+        x[c] = row[m]
+    return x
+
+
 class TraceQuadraticForm:
     """Q(x) = Tr(sum lambda_j x^(q^j+1)) with the half-field middle term."""
 
@@ -121,10 +229,11 @@ class TraceQuadraticForm:
         slots = family_slots(field.m, i)
         if len(lambdas) != len(slots):
             raise ArityMismatch(f"expected {len(slots)} lambdas, got {len(lambdas)}")
+        self.tensor = trace_tensor(field.base, tuple(field.ext_modulus), i)
         for slot, lam in zip(slots, lambdas):
             if not 0 <= lam < field.size:
                 raise OutOfRange(f"lambda={lam} is not a field element index in [0, {field.size})")
-            if slot.half and not field.in_half(lam):
+            if slot.half and lam not in self.tensor.half_field:
                 raise InvalidSubfield(f"lambda for slot j={slot.j} must lie in GF(q^(m/2))")
         self.field = field
         self.i = i
@@ -143,6 +252,11 @@ class TraceQuadraticForm:
     @property
     def field_q(self) -> SmallField:
         return self.field.base
+
+    @cached_property
+    def coefficient_matrix(self) -> np.ndarray:
+        """M with Q(y) = y^T M y on the polynomial basis (TraceTensor)."""
+        return self.tensor.coefficients(self.lambdas)
 
     def value_vec(self) -> np.ndarray:
         """GF(q) values (Q(alpha^t))_{t=0..n-1}."""
@@ -188,6 +302,10 @@ class CoefficientForm:
     def q(self) -> int:
         return self.field_q.q
 
+    @property
+    def coefficient_matrix(self) -> np.ndarray:
+        return self.coeffs
+
     def values_by_index(self) -> np.ndarray:
         """Values over all q^m points, index encoding sum(c_i q^i)."""
         if self._values is None:
@@ -207,28 +325,19 @@ class CoefficientForm:
 
 
 def polarize(form) -> GramMatrix:
-    """Gram matrix of the bilinear form attached to Q on the fixed basis.
+    """Gram matrix of the bilinear form attached to Q on the fixed basis,
+    read off the coefficient matrix M of Q(y) = y^T M y.
 
-    Odd q: B(x,y) = (Q(x+y)-Q(x)-Q(y))/2, so B(x,x) = Q(x) and the Gram
-    matrix coincides with the coefficient matrix of Q.  Even q:
-    B(x,y) = Q(x+y)+Q(x)+Q(y), which is alternating.
-
-    Both form classes index the point sum_a c_a e_a as sum_a c_a q^a, so
-    the basis vectors are the indices q^a, e_a + e_b (a != b) is q^a + q^b
-    and 2 e_a is (1+1) q^a: one gather reads every Q(e_a + e_b).
+    Odd q: B(x,y) = (Q(x+y)-Q(x)-Q(y))/2 = x^T (M + M^T)/2 y, so B(x,x) = Q(x)
+    and the Gram matrix coincides with the symmetric coefficient matrix of
+    Q.  Even q: B(x,y) = Q(x+y)+Q(x)+Q(y) = x^T (M + M^T) y, which is
+    alternating.
     """
     F = form.field_q
-    vals = form.values_by_index()
-    basis = F.q ** np.arange(form.m, dtype=np.int64)
-    both = basis[:, None] + basis[None, :]
-    np.fill_diagonal(both, F.add_el(1, 1) * basis)
-    minus = F.neg[vals[basis]]
-    gram = F.add[F.add[vals[both], minus[:, None]], minus[None, :]]
-    odd = F.p != 2
-    if odd:
+    M = form.coefficient_matrix
+    gram = F.add[M, M.T]
+    if F.p != 2:
         gram = F.mul[gram, F.half(1)]
-    if not odd and gram.diagonal().any():
-        raise BchFormsError("even-q polarization must be alternating")  # internal bug
     return GramMatrix(entries=gram, field_q=F)
 
 
@@ -322,13 +431,14 @@ def classify_symmetric(M: GramMatrix) -> RankType:
 
 
 def classify_quadratic(form) -> RankType:
-    """Rank and type of a quadratic form.
+    """Rank and type of a quadratic form, from its coefficient matrix M.
 
     Odd q delegates to the symmetric classification of the polarization.
     Even q: rank(B_Q) is even; Q has rank rank(B_Q)+1 and type 1 exactly
-    when Q does not vanish on Rad B_Q (checked on a basis, enough because
-    Q is additive there), otherwise the type in {0,2} is read off the
-    number of zeros of Q.
+    when Q does not vanish on Rad B_Q (checked as v^T M v on a basis, enough
+    because Q is additive there), otherwise the type is 0 or 2 as the Arf
+    invariant has GF(2)-trace 0 or 1 (Arf, J. reine angew. Math. 183 (1941);
+    Lidl & Niederreiter, Finite Fields, ch. 6).
     """
     F = form.field_q
     B = polarize(form)
@@ -337,20 +447,66 @@ def classify_quadratic(form) -> RankType:
     rb = bilinear_rank(B)
     if rb % 2:
         raise BchFormsError("alternating form with odd rank")  # internal bug
-    q, m = F.q, form.m
-    vals = form.values_by_index()
-    if any(vals[sum(c * q ** t for t, c in enumerate(v))] for v in radical_basis(B)):
+    M = form.coefficient_matrix.tolist()
+    if any(_quadratic_value(F, M, v) for v in radical_basis(B)):
         return RankType(rb + 1, 1)
     if rb == 0:
         return RankType(0, 0)
-    zeros = int(np.count_nonzero(vals == 0))
-    r_half = rb // 2
-    bump = (q - 1) * q ** (m - r_half - 1)
-    if zeros == q ** (m - 1) + bump:
-        return RankType(rb, 0)
-    if zeros == q ** (m - 1) - bump:
-        return RankType(rb, 2)
-    raise CountMismatch(f"zero count {zeros} matches neither type for rank {rb}")
+    return RankType(rb, 2 if absolute_trace_to_gf2(F, _arf_invariant(F, B, M)) else 0)
+
+
+def _quadratic_value(F: SmallField, M: list[list[int]], v: list[int]) -> int:
+    """Q(v) = v^T M v."""
+    add, mul = F.add_rows, F.mul_rows
+    support = [(a, c) for a, c in enumerate(v) if c]
+    acc = 0
+    for a, ca in support:
+        row = M[a]
+        for b, cb in support:
+            acc = add[acc][mul[mul[ca][cb]][row[b]]]
+    return acc
+
+
+def _arf_invariant(F: SmallField, B: GramMatrix, M: list[list[int]]) -> int:
+    """sum_k Q(e_k) Q(f_k) over a symplectic basis (e_k, f_k) of a
+    complement of Rad B, for an even-q Q that vanishes on Rad B.
+
+    The basis b_r is changed in place with the list-table idiom of
+    _row_reduce, one pair at a time, in O(m^3): e = b_k and
+    f = b_l / B(b_k, b_l) for some l with B(b_k, b_l) != 0, and every other
+    b_r becomes b_r + y_r e + x_r f with x_r = B(b_r, e), y_r = B(b_r, f),
+    orthogonal to both.  In characteristic two that is
+    B(r, s) += x_r y_s + y_r x_s and Q(b_r) += y_r^2 Q(e) + x_r^2 Q(f) + x_r y_r.
+    A b_k with no partner left lies in Rad B and is dropped.
+    """
+    add, mul = F.add_rows, F.mul_rows
+    G = B.entries.tolist()
+    Qb = [M[a][a] for a in range(len(M))]
+    remaining = list(range(len(G)))
+    arf = pairs = 0
+    while remaining:
+        k = remaining.pop()
+        l = next((l for l in remaining if G[k][l]), None)
+        if l is None:
+            continue
+        remaining.remove(l)
+        c = F.inv_el(G[k][l])
+        qe, qf = Qb[k], mul[mul[c][c]][Qb[l]]
+        arf = add[arf][mul[qe][qf]]
+        pairs += 1
+        X = [row[k] for row in G]
+        Y = [mul[c][row[l]] for row in G]
+        for r in remaining:
+            x, y = X[r], Y[r]
+            if not (x or y):
+                continue
+            Qb[r] = add[add[Qb[r]][mul[mul[y][y]][qe]]][add[mul[mul[x][x]][qf]][mul[x][y]]]
+            row, mx, my = G[r], mul[x], mul[y]
+            for s in remaining:
+                row[s] = add[row[s]][add[mx[Y[s]]][my[X[s]]]]
+    if 2 * pairs != len(B.reduced[1]):
+        raise BchFormsError("symplectic basis does not match the rank")  # internal bug
+    return arf
 
 
 def count_solutions_closed(q: int, rt: RankType, h: int, m: int) -> int:

@@ -347,16 +347,17 @@ def _gfp_apply(L: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
 class FieldContext:
     """The tower GF(p) < GF(q) < GF(q^m) with log/exp tables.
 
-    Built complete by ``build_field``; every table is read-only, and the
-    trace tables are built on first use.
+    ``build_field`` fixes the extension modulus; alpha and the exp/log
+    tables are built together on first use, the trace tables each on
+    first use after them.  Every table is read-only.
     """
 
     base: SmallField
     m: int
     ext_modulus: list[int]
-    alpha: int
-    exp_index: np.ndarray = dataclass_field(repr=False)
-    log_index: np.ndarray = dataclass_field(repr=False)
+    _alpha: int | None = dataclass_field(default=None, repr=False)
+    _exp_index: np.ndarray | None = dataclass_field(default=None, repr=False)
+    _log_index: np.ndarray | None = dataclass_field(default=None, repr=False)
     _trace_vec: np.ndarray | None = dataclass_field(default=None, repr=False)
     _half_trace_vec: np.ndarray | None = dataclass_field(default=None, repr=False)
 
@@ -379,6 +380,76 @@ class FieldContext:
     @property
     def n(self) -> int:
         return self.size - 1
+
+    # -- log/exp tables ---------------------------------------------------
+
+    @property
+    def alpha(self) -> int:
+        """The smallest element index of multiplicative order q^m - 1."""
+        if self._alpha is None:
+            self._build_log_exp()
+        return self._alpha
+
+    @property
+    def exp_index(self) -> np.ndarray:
+        """exp_index[t] = alpha^t, int64 of length n."""
+        if self._exp_index is None:
+            self._build_log_exp()
+        return self._exp_index
+
+    @property
+    def log_index(self) -> np.ndarray:
+        """log_index[x] = log_alpha(x), int64 of length q^m (log_index[0] = -1)."""
+        if self._log_index is None:
+            self._build_log_exp()
+        return self._log_index
+
+    def _build_log_exp(self) -> None:
+        base, ext_modulus, m, p, q = self.base, self.ext_modulus, self.m, self.p, self.q
+        size = q ** m
+        n = size - 1
+
+        def el_mul(x: int, y: int) -> int:
+            cx = [x // q ** i % q for i in range(m)]
+            cy = [y // q ** i % q for i in range(m)]
+            prod = poly_mod(base, poly_mul(base, cx, cy), ext_modulus)
+            return sum(c * q ** i for i, c in enumerate(prod))
+
+        def el_pow(x: int, k: int) -> int:
+            r = 1
+            b = x
+            while k:
+                if k & 1:
+                    r = el_mul(r, b)
+                b = el_mul(b, b)
+                k >>= 1
+            return r
+
+        # alpha: the smallest unit whose order is no proper divisor of n (x^n = 1
+        # holds for every unit); GF(2) has no primes in n = 1 and takes alpha = 1
+        primes = factorize(n)
+        alpha = next(c for c in range(1, size) if all(el_pow(c, n // r) != 1 for r in primes))
+
+        # exp table by block doubling: exp[B:2B] = alpha^B * exp[:B], where
+        # "multiply by alpha^B" is the GF(p)-matrix A^B on base-p digit vectors
+        count = base.e * m
+        A = digits([el_mul(alpha, p ** k) for k in range(count)], p, count).T
+        exp_index = np.empty(n, dtype=np.int64)
+        exp_index[0] = 1
+        AB, B = A, 1
+        while B < n:
+            k = min(B, n - B)
+            exp_index[B:B + k] = _gfp_apply(AB, exp_index[:k], p)
+            AB, B = AB @ AB % p, 2 * B
+        if _gfp_apply(A, exp_index[-1:], p)[0] != 1:
+            raise BchFormsError("alpha order mismatch")  # internal bug
+        log_index = np.full(size, -1, dtype=np.int64)
+        log_index[exp_index] = np.arange(n)
+        if (log_index[1:] < 0).any():
+            raise BchFormsError("exp table is not a bijection")  # internal bug
+        self._alpha = alpha
+        self._exp_index = _frozen(exp_index)
+        self._log_index = _frozen(log_index)
 
     # -- ring operations -------------------------------------------------
 
@@ -411,15 +482,6 @@ class FieldContext:
         if self.m % 2:
             raise InvalidSubfield("GF(q^(m/2)) needs even m")
         return self.q ** (self.m // 2) + 1
-
-    def in_half(self, x: int) -> bool:
-        if x == 0:
-            return True
-        return int(self.log_index[x]) % self.half_step == 0
-
-    def half_subfield_elements(self) -> list[int]:
-        """All q^(m/2) elements of GF(q^(m/2)) as GF(q^m) indices."""
-        return [0] + self.exp_index[::self.half_step].tolist()
 
     # -- traces -----------------------------------------------------------
 
@@ -484,58 +546,15 @@ def build_field(p: int, e: int, m: int) -> FieldContext:
     with the smallest integer encoding (base-q digits of the non-leading
     coefficients), and alpha is the smallest element index of
     multiplicative order q^m - 1.  Both choices are deterministic, so
-    (p, e, m) fixes the field and ``to_spec()`` reproduces it.
+    (p, e, m) fixes the field and ``to_spec()`` reproduces it.  Only the
+    modulus is found here; alpha and the tables are built on first use.
     """
     if e < 1 or m < 1:
         raise BchFormsError("e and m must be >= 1")
     base = small_field(p ** e)
     if base.p != p:
         raise NotPrime(f"{p} is not prime")
-    q = base.q
-    ext_modulus = smallest_irreducible(base, m)
-    size = q ** m
-    n = size - 1
-
-    def el_mul(x: int, y: int) -> int:
-        cx = [x // q ** i % q for i in range(m)]
-        cy = [y // q ** i % q for i in range(m)]
-        prod = poly_mod(base, poly_mul(base, cx, cy), ext_modulus)
-        return sum(c * q ** i for i, c in enumerate(prod))
-
-    def el_pow(x: int, k: int) -> int:
-        r = 1
-        b = x
-        while k:
-            if k & 1:
-                r = el_mul(r, b)
-            b = el_mul(b, b)
-            k >>= 1
-        return r
-
-    # alpha: the smallest unit whose order is no proper divisor of n (x^n = 1
-    # holds for every unit); GF(2) has no primes in n = 1 and takes alpha = 1
-    primes = factorize(n)
-    alpha = next(c for c in range(1, size) if all(el_pow(c, n // r) != 1 for r in primes))
-
-    # exp table by block doubling: exp[B:2B] = alpha^B * exp[:B], where
-    # "multiply by alpha^B" is the GF(p)-matrix A^B on base-p digit vectors
-    count = base.e * m
-    A = digits([el_mul(alpha, p ** k) for k in range(count)], p, count).T
-    exp_index = np.empty(n, dtype=np.int64)
-    exp_index[0] = 1
-    AB, B = A, 1
-    while B < n:
-        k = min(B, n - B)
-        exp_index[B:B + k] = _gfp_apply(AB, exp_index[:k], p)
-        AB, B = AB @ AB % p, 2 * B
-    if _gfp_apply(A, exp_index[-1:], p)[0] != 1:
-        raise BchFormsError("alpha order mismatch")  # internal bug
-    log_index = np.full(size, -1, dtype=np.int64)
-    log_index[exp_index] = np.arange(n)
-    if (log_index[1:] < 0).any():
-        raise BchFormsError("exp table is not a bijection")  # internal bug
-    return FieldContext(base=base, m=m, ext_modulus=ext_modulus, alpha=alpha,
-                        exp_index=_frozen(exp_index), log_index=_frozen(log_index))
+    return FieldContext(base=base, m=m, ext_modulus=smallest_irreducible(base, m))
 
 
 @lru_cache(maxsize=None)

@@ -78,7 +78,7 @@ def test_trace_codeword_trivial_specs():
 
 
 def test_trace_codewords_live_in_generator_code():
-    from bchforms.forms import family_slots
+    from bchforms.forms import family_domains
 
     rng = np.random.default_rng(5)
     for q, m, i in [(3, 3, 1), (2, 4, 1), (2, 4, 2)]:
@@ -86,10 +86,7 @@ def test_trace_codewords_live_in_generator_code():
         fld = field_for(q, m)
         code = generator_polynomial(q, m, params.delta_i)
         for _ in range(12):
-            lambdas = []
-            for s in family_slots(m, i):
-                opts = fld.half_subfield_elements() if s.half else list(range(fld.size))
-                lambdas.append(int(rng.choice(opts)))
+            lambdas = [int(rng.choice(opts)) for opts in family_domains(fld, i)]
             spec = TraceCodewordSpec(tuple(lambdas), int(rng.integers(fld.size)), int(rng.integers(q)))
             word = trace_codeword(params, spec)
             assert in_code(word, code)

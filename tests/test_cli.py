@@ -4,9 +4,11 @@ import functools
 import io
 import json
 import os
+import hashlib
 import re
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bchforms
-from bchforms import cli, kernels, oracle, schemes, weights
+from bchforms import cli, forms, gfarith, kernels, oracle, schemes, weights
 from bchforms.bchcode import generator_polynomial
 from bchforms.cyclotomic import code_params, coset_leaders_geq
 from bchforms.errors import OutOfRange
@@ -218,6 +220,9 @@ LONG_COUNTS = [
     ("enumerator", "-q", "3", "-m", "3", "-i", "1", "--mode", "oracle", "--workers", "0"),
     ("enumerator", "-q", "3", "-m", "3", "-i", "1", "--mode", "oracle", "--workers", "-1"),
     ("verify", "examples", "--workers", "0"),
+    ("verify", "schemes", "--q", "3", "--workers", "0"),
+    ("verify", "forms", "--workers", "-3"),
+    ("enumerator", "-q", "3", "-m", "3", "-i", "1", "--mode", "closed", "--workers", "0"),
 ])
 def test_bad_input_is_one_json_error(capsys, argv):
     t0 = time.perf_counter()
@@ -287,6 +292,36 @@ def test_early_refusal_only_where_a_count_is_refused(capsys, monkeypatch, argv):
         assert early == run(limit, lambda *a: None), limit
         refused += early[0] == 1
     assert 0 < len(fired) <= refused < 15
+
+
+def test_classify_form_reads_no_field_table(capsys, monkeypatch):
+    # rank, type and Gram come from the extension modulus alone: the call
+    # leaves the log, exp and trace tables of GF(2^19) unbuilt and holds no
+    # array of q^m entries (those alone are 4 MB of int64 at 2^19)
+    built = []
+
+    def fresh_field(q, m):
+        built.append(gfarith.build_field(*gfarith.prime_power(q), m))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "field_for", fresh_field)
+    monkeypatch.delenv("BCHFORMS_BUDGET", raising=False)
+    forms.trace_tensor.cache_clear()
+    tracemalloc.start()
+    try:
+        code, doc = run_cli(capsys, "classify-form", "-q", "2", "-m", "19", "-i", "9", "--lambdas", "70446")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(built) == 1
+    fld = built[0]
+    assert [fld._alpha, fld._exp_index, fld._log_index, fld._trace_vec, fld._half_trace_vec] == [None] * 5
+    assert peak <= 4 << 20, peak
+    # the payload of the route that evaluated Q at all 2^19 points
+    payload = doc["payload"]
+    assert (payload["rank"], payload["type"]) == (19, 1)
+    assert hashlib.sha256(json.dumps(payload["gram"]).encode()).hexdigest() == (
+        "a40eea874c8b0d49c063819a8d5c59ca076ac74db6869a505a2c67228baa4969")
 
 
 def test_classify_form_field_budget(capsys, monkeypatch):

@@ -398,23 +398,24 @@ def _classify_symmetric_ref(entries, F):
 
 
 def _polarize_ref(form):
-    F, m = form.field_q, form.m
+    """The point-gather polarization that classification used before it read
+    the coefficient matrix: Q at e_a (index q^a), e_a + e_b (q^a + q^b) and
+    2 e_a ((1+1) q^a), gathered from the values at all q^m points."""
+    F = form.field_q
     vals = form.values_by_index()
-    gram = np.zeros((m, m), dtype=np.int64)
-    odd = F.p != 2
-    basis = [F.q ** a for a in range(m)]
-    for a in range(m):
-        for b in range(a, m):
-            s = int(vals[digitwise(basis[a], basis[b], F.p)])
-            s = F.add_el(s, F.neg_el(int(vals[basis[a]])))
-            s = F.add_el(s, F.neg_el(int(vals[basis[b]])))
-            if odd:
-                s = F.half(s)
-            gram[a, b] = gram[b, a] = s
-    return gram
+    basis = F.q ** np.arange(form.m, dtype=np.int64)
+    both = basis[:, None] + basis[None, :]
+    np.fill_diagonal(both, F.add_el(1, 1) * basis)
+    minus = F.neg[vals[basis]]
+    gram = F.add[F.add[vals[both], minus[:, None]], minus[None, :]]
+    if F.p != 2:
+        gram = F.mul[gram, F.half(1)]
+    return gram.astype(np.int64)
 
 
 def _classify_quadratic_ref(form):
+    """Rank and type from the q^m values: the radical check reads Q off the
+    values, and the even-q type 0 or 2 is the number of zeros of Q."""
     F, q, m = form.field_q, form.q, form.m
     gram = _polarize_ref(form)
     if F.p != 2:
@@ -466,18 +467,23 @@ def test_row_reduce_matches_reference():
 
 
 def _reference_forms():
-    """Every member of the verify-suite Q families, and every canonical form
-    and random coefficient forms for each q of REFERENCE_QS."""
-    for q, m, i in FORM_FAMILIES + [(2, 6, 3), (3, 4, 2)]:
-        yield from schemes.enumerate_family(schemes.FamilySpec.quadratic(q, m, i))
+    """Every canonical form and random coefficient forms for each q of
+    REFERENCE_QS (the trace families are in _reference_families)."""
     rng = np.random.default_rng(7)
     for q in REFERENCE_QS:
-        for m in (1, 2, 3, 4):
+        for m in (1, 2, 3, 4, 5):
             for rt in all_rank_types(q, m):
                 yield canonical_form(q, m, rt)
             for _ in range(10):
                 C = np.triu(rng.integers(0, q, size=(m, m)))
                 yield CoefficientForm(small_field(q), C if q % 2 == 0 else C + np.triu(C, 1).T)
+
+
+def _assert_matches_point_reference(form):
+    gram = polarize(form).entries
+    ref = _polarize_ref(form)
+    assert gram.dtype == ref.dtype and gram.tobytes() == ref.tobytes(), form
+    assert classify_quadratic(form) == _classify_quadratic_ref(form), form
 
 
 def test_polarize_and_values_match_reference():
@@ -486,10 +492,7 @@ def test_polarize_and_values_match_reference():
             ref = _values_by_index_ref(form)
             vals = form.values_by_index()
             assert vals.dtype == ref.dtype and vals.tobytes() == ref.tobytes()
-        gram = polarize(form)
-        ref_entries = _polarize_ref(form)
-        assert gram.entries.dtype == ref_entries.dtype
-        assert gram.entries.tobytes() == ref_entries.tobytes(), form
+        _assert_matches_point_reference(form)
 
 
 def _reference_families():
@@ -500,14 +503,43 @@ def _reference_families():
     specs |= {("Q" + str(2 - m % 2), q, m, i) for q, m, i in FORM_FAMILIES}
     specs |= {("S1", 3, 3, 1), ("S2", 3, 4, 2), ("Q1", 3, 3, 1), ("Q2", 3, 4, 2),
               ("Q1", 2, 5, 2), ("Q2", 2, 6, 3), ("A1", 2, 5, 2), ("A2", 2, 6, 3)}
+    # the even-q min-distance families of the benchmark's census workload
+    specs |= {("Q2", 2, 8, 4), ("Q2", 4, 4, 2), ("Q1", 2, 9, 4)}
     return sorted(specs)
+
+
+@pytest.mark.parametrize("q,m,i", [(2, 19, 9), (4, 9, 4), (3, 11, 5), (5, 7, 3), (2, 14, 6),
+                                   (9, 4, 2), (8, 3, 1), (16, 3, 1), (4, 6, 3), (2, 10, 5)])
+def test_large_trace_forms_match_point_reference(q, m, i):
+    # seeded members at large m and large q, the half slot included
+    fld = field_for(q, m)
+    domains = forms.family_domains(fld, i)
+    rng = np.random.default_rng(q * 1000 + m * 10 + i)
+    for _ in range(3 if q ** m > 1 << 16 else 12):
+        lams = tuple(int(d[rng.integers(len(d))]) for d in domains)
+        _assert_matches_point_reference(TraceQuadraticForm(fld, i, lams))
+
+
+def test_half_slot_membership():
+    # the half slot admits exactly the fixed points of x -> x^(q^(m/2)), and
+    # the family domain lists them
+    for q, m, i in [(2, 6, 3), (4, 4, 2), (3, 4, 1), (9, 2, 1)]:
+        fld = field_for(q, m)
+        half = {x for x in range(fld.size) if fld.pow(x, q ** (m // 2)) == x}
+        assert forms.family_domains(fld, i)[0] == sorted(half)
+        for lam in range(fld.size):
+            if lam in half:
+                TraceQuadraticForm(fld, i, (lam,) + (0,) * (len(family_slots(m, i)) - 1))
+            else:
+                with pytest.raises(InvalidSubfield):
+                    TraceQuadraticForm(fld, i, (lam,) + (0,) * (len(family_slots(m, i)) - 1))
 
 
 @pytest.mark.parametrize("kind,q,m,i", _reference_families())
 def test_classification_matches_reference(kind, q, m, i):
     for member in schemes.enumerate_family(schemes.FamilySpec(kind, q, m, i)):
         if kind[0] == "Q":
-            assert classify_quadratic(member) == _classify_quadratic_ref(member), member
+            _assert_matches_point_reference(member)
         elif kind[0] == "S":
             assert classify_symmetric(member) == _classify_symmetric_ref(member.entries, member.field_q)
         else:

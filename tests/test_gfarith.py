@@ -226,8 +226,10 @@ def test_half_trace_vec():
     s = ctx.half_step
     assert s == 5
     half = reference_tables(2, 1, 4)[4]
-    for t in range(0, ctx.n, s):
-        assert ctx.in_half(int(ctx.exp_index[t]))
+    # the multiples of half_step are the logs of GF(4)*, the fixed points of
+    # x -> x^4, and half_trace_vec is zero off them
+    fixed = {int(ctx.log_index[x]) for x in range(1, ctx.size) if ctx.pow(x, ctx.q ** 2) == x}
+    assert set(np.flatnonzero(ctx.half_trace_vec)) <= fixed == set(range(0, ctx.n, s))
     assert ctx.half_trace_vec.tobytes() == half.tobytes()
     with pytest.raises(InvalidSubfield):
         build_field(2, 1, 3).half_step  # noqa: B018
@@ -320,6 +322,18 @@ def test_one_small_field_per_q():
     assert field_for(4, 3).base is field_for(4, 5).base is build_field(2, 2, 2).base is small_field(4)
     assert field_for(16, 2).base is small_field(16)
     assert small_field(16).modulus == build_field(2, 1, 4).ext_modulus
+
+
+def test_tables_build_on_first_use():
+    # field_for finds the modulus; alpha, exp and log come together on first
+    # use, each trace table on its own first use
+    fld = field_for.__wrapped__(2, 6)
+    assert fld.ext_modulus == field_for(2, 6).ext_modulus
+    assert [fld._alpha, fld._exp_index, fld._log_index, fld._trace_vec, fld._half_trace_vec] == [None] * 5
+    assert fld.log_index.tobytes() == field_for(2, 6).log_index.tobytes()
+    assert fld._alpha == field_for(2, 6).alpha and fld._exp_index is not None
+    assert fld._trace_vec is None and fld._half_trace_vec is None
+    assert fld.trace_vec.tobytes() == field_for(2, 6).trace_vec.tobytes() and fld._half_trace_vec is None
 
 
 def test_tables_are_read_only():
