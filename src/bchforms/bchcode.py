@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfarith
-from .cyclotomic import CodeParams, bch_dimension, cyclotomic_coset
+from .cyclotomic import CodeParams, bch_dimension, cyclotomic_coset, iter_coset_leaders
 from .errors import BchFormsError, CountMismatch, OutOfRange
 from .forms import TraceQuadraticForm
 from .gfarith import FieldContext, field_for
@@ -72,9 +72,10 @@ def generator_polynomial(q: int, m: int, delta: int) -> CyclicCode:
     n = fld.n
     if not 2 <= delta <= n:
         raise OutOfRange(f"delta={delta} out of [2, q^m-1]")
-    leaders = sorted({cyclotomic_coset(s, q, m).leader for s in range(1, delta)})
     g = [1]
-    for s in leaders:
+    for s, _ in iter_coset_leaders(q, m, 1):  # the cosets meeting [1, delta)
+        if s >= delta:
+            break
         g = gfarith.poly_mul(fld.base, g, minimal_polynomial(fld, s))
     dim = n - (len(g) - 1)
     if dim != bch_dimension(q, m, delta):

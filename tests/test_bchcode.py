@@ -9,7 +9,7 @@ from bchforms.bchcode import (
     minimal_polynomial,
     trace_codeword,
 )
-from bchforms.cyclotomic import code_params
+from bchforms.cyclotomic import code_params, cyclotomic_coset
 from bchforms.forms import family_size
 from bchforms.gfarith import field_for, poly_is_irreducible
 from bchforms.schemes import FamilySpec, family_lambdas
@@ -51,6 +51,17 @@ def test_generator_polynomial_dimensions():
     fld = field_for(2, 5)
     c1 = gfarith.poly_deg(minimal_polynomial(fld, 1))
     assert generator_polynomial(2, 5, 2).dimension == 31 - c1
+
+
+def test_generator_matches_product_over_cosets_of_1_to_delta():
+    # reference: one minimal polynomial per distinct coset of s in [1, delta)
+    for q, m in [(2, 4), (3, 2), (4, 2), (2, 6)]:
+        fld = field_for(q, m)
+        for delta in range(2, fld.n + 1):
+            g = [1]
+            for s in sorted({cyclotomic_coset(t, q, m).leader for t in range(1, delta)}):
+                g = gfarith.poly_mul(fld.base, g, minimal_polynomial(fld, s))
+            assert generator_polynomial(q, m, delta).generator == g, (q, m, delta)
 
 
 def test_generator_divides_xn_minus_1():

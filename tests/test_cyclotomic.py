@@ -1,10 +1,18 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bchforms import cyclotomic as cyc
-from bchforms.errors import DegenerateCode, IndexOutOfTheoremRange, NotPrime, OutOfRange
+from bchforms.errors import (
+    BudgetExceeded,
+    CountMismatch,
+    DegenerateCode,
+    IndexOutOfTheoremRange,
+    NotPrime,
+    OutOfRange,
+)
 
 
 def test_q_adic_examples():
@@ -40,6 +48,13 @@ def test_leader_criterion_matches_min_of_orbit():
         leaders = {s for s, _ in cyc.all_coset_leaders(q, m)}
         for s in range(n):
             assert cyc.is_coset_leader(s, q, m) == (s in leaders)
+
+
+def test_is_coset_leader_refuses_s_outside_the_exponents():
+    # a negative s never recurs in its orbit mod n, so the orbit walk would not end
+    for s in (-5, 15, 16):
+        with pytest.raises(OutOfRange):
+            cyc.is_coset_leader(s, 2, 4)
 
 
 def test_leader_criterion_via_digit_shifts():
@@ -216,3 +231,73 @@ def test_leader_table_matches_loop_reference(q, m):
         assert cyc.bch_dimension(q, m, delta) == 1 + sum(size for s, size in ref if s >= delta), delta
         if delta < n:
             assert cyc.coset_leaders_geq(delta, q, m) == [s for s, _ in ref if s >= delta], delta
+
+
+@pytest.mark.parametrize("q,m", [(q, m) for q, m in LEADER_GRID if q ** m <= 1 << 9])
+def test_leader_walk_from_every_threshold(q, m):
+    n = q ** m - 1
+    ref = _all_coset_leaders_ref(q, m)
+    for threshold in range(n + 1):
+        assert list(cyc.iter_coset_leaders(q, m, threshold)) == [c for c in ref if c[0] >= threshold]
+
+
+def test_leader_walk_refuses_past_its_node_cap(monkeypatch):
+    # a whole walk of GF(2^40) would visit about 2^40/40 prenecklaces
+    monkeypatch.setattr(cyc, "MAX_LEADER_NODES", 1000)
+    with pytest.raises(BudgetExceeded, match="more than 1000 prenecklaces"):
+        cyc.bch_dimension(2, 40, 3)
+    # a walk that stops at its first leader visits one prenecklace
+    assert cyc.bose_distance(2, 40, 3) == 3
+
+
+@pytest.mark.parametrize("call", [
+    lambda q, m: cyc.q_adic(0, q, m),
+    lambda q, m: cyc.cyclotomic_coset(0, q, m),
+    lambda q, m: cyc.is_coset_leader(1, q, m),
+    lambda q, m: list(cyc.iter_coset_leaders(q, m)),
+    lambda q, m: cyc.all_coset_leaders(q, m),
+    lambda q, m: cyc.coset_leaders_geq(1, q, m),
+    lambda q, m: cyc.bch_dimension(q, m, 5),
+    lambda q, m: cyc.bose_distance(q, m, 5),
+    lambda q, m: cyc.theorem_i_range(q, m),
+])
+def test_public_entries_check_q_and_m(call):
+    for q in (6, 1, 0):
+        with pytest.raises(NotPrime):
+            call(q, 3)
+    for m in (0, -1):
+        with pytest.raises(OutOfRange):
+            call(2, m)
+
+
+def test_code_params_checks_every_code_up_to_the_m_bound():
+    for q in (2, 3, 4, 5, 7, 8, 9, 16):
+        for m in range(cyc.least_m(q), cyc.MAX_CHECKED_M + 1):
+            for i in cyc.theorem_i_range(q, m):
+                if (q - 1) * q ** (m - 1) - 1 - q ** i < 2:
+                    continue
+                cyc.code_params(q, m, i)  # raises CountMismatch on a wrong figure
+
+
+@pytest.mark.parametrize("q,m,i", [(2, 24, 11), (16, cyc.MAX_CHECKED_M, cyc.MAX_CHECKED_M // 2)])
+def test_code_params_catches_a_wrong_closed_dimension(monkeypatch, q, m, i):
+    closed = cyc.closed_dimension
+    monkeypatch.setattr(cyc, "closed_dimension", lambda m, i: closed(m, i) + 1)
+    with pytest.raises(CountMismatch, match="dimension mismatch"):
+        cyc.code_params(q, m, i)
+
+
+def test_code_params_catches_a_delta_i_that_is_no_leader(monkeypatch):
+    monkeypatch.setattr(cyc, "is_coset_leader", lambda s, q, m: False)
+    with pytest.raises(CountMismatch, match="not a coset leader"):
+        cyc.code_params(2, 24, 11)
+
+
+def test_code_params_memory_peak():
+    tracemalloc.start()
+    try:
+        cyc.code_params(2, 20, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
