@@ -24,7 +24,7 @@ from .forms import (
     polarize,
 )
 from .gfarith import FieldContext, SmallField, build_field, field_for, small_field
-from .oracle import EnumerationBudget, enumerate_code_weights, rank_type_census
+from .oracle import EnumerationBudget, rank_type_census
 from .schemes import (
     FamilySpec,
     InnerDistribution,
@@ -76,7 +76,6 @@ __all__ = [
     "count_solutions_closed",
     "cyclotomic_coset",
     "dg_bound",
-    "enumerate_code_weights",
     "field_for",
     "intersection_table",
     "is_d_code",

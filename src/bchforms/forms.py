@@ -13,8 +13,10 @@ Both expose the same small surface (``coefficient_matrix``,
 ``values_by_index``, ``field_q``, ``m`` and ``q``), so the classification
 code does not care which one it gets.  Rank and type are read off the
 coefficient matrix M with Q(y) = y^T M y alone: a trace form gets its M
-from one GF(q) contraction of its lambdas with ``TraceTensor``, and no
-classification evaluates Q at the q^m points.
+from one GF(q) contraction of its lambdas with ``TraceTensor``, which
+assembles its blocks from the extension's ``gfarith.PolyBasis`` (trace
+functional, Frobenius powers, xi), and no classification evaluates Q at
+the q^m points.  Rank and radical come from ``gfarith._row_reduce``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,17 @@ from .errors import (
     OutOfRange,
     RankZero,
 )
-from .gfarith import FieldContext, SmallField, _frozen, digits, eta_minus_one, small_field
+from .gfarith import (
+    FieldContext,
+    SmallField,
+    _frozen,
+    _gfp_matrix,
+    _null_space,
+    _row_reduce,
+    eta_minus_one,
+    poly_basis,
+    small_field,
+)
 
 
 @dataclass(frozen=True)
@@ -57,8 +69,8 @@ def family_slots(m: int, i: int) -> list[SlotSpec]:
 def family_domains(field: FieldContext, i: int) -> list[list[int]]:
     """The admissible lambda values of each slot of Q1(i)/Q2(i), sorted by
     element index; their product, in order, is the family."""
-    half = sorted(trace_tensor(field.base, tuple(field.ext_modulus), i).half_field)
-    return [half if s.half else list(range(field.size)) for s in family_slots(field.m, i)]
+    return [sorted(field.basis.half_field) if s.half else list(range(field.size))
+            for s in family_slots(field.m, i)]
 
 
 def family_exponent(m: int, i: int) -> int:
@@ -117,73 +129,34 @@ class GramMatrix:
         return _row_reduce(self.entries, self.field_q)
 
 
-def _power_coords(F: SmallField, modulus: tuple[int, ...], count: int) -> np.ndarray:
-    """P[k] = GF(q) coordinates of x^k mod f for k < count, f the monic
-    modulus: x^(k+1) is x^k shifted up one place, its top coordinate c
-    folded back through x^m = -(f_0 + ... + f_(m-1) x^(m-1))."""
-    m = len(modulus) - 1
-    fold = F.neg[np.asarray(modulus[:m], dtype=np.int64)]
-    P = np.zeros((count, m), dtype=np.uint8)
-    row = np.eye(1, m, dtype=np.uint8)[0]
-    for k in range(count):
-        P[k] = row
-        row = F.add[np.concatenate(([0], row[:-1])), F.mul[row[-1], fold]]
-    return P
-
-
-def _gfp_matrix(F: SmallField, K: np.ndarray) -> np.ndarray:
-    """The GF(q)-linear map x -> sum_r x_r K[r] (K of shape (rows, cols))
-    as an int64 matrix on base-p digits: row r*e + u is the image of the
-    GF(q) element p^u in place r, column c*e + v the base-p digit v of
-    output c.  At prime q it is K itself."""
-    scaled = F.mul[(F.p ** np.arange(F.e))[:, None, None], K[None]]  # [u, r, c]
-    return digits(scaled, F.p, F.e).transpose(1, 0, 2, 3).reshape(K.shape[0] * F.e, K.shape[1] * F.e)
-
-
 class TraceTensor:
     """The coefficient matrices M with Q(y) = y^T M y of the members of
     Q1(i)/Q2(i) over one field, each one GF(q) contraction of the lambdas'
-    coordinates with a tensor built from the extension modulus f alone
+    coordinates with a tensor read off the extension's ``PolyBasis``
     (no log, exp or trace table), on the polynomial basis x^a:
 
-    * P[k], the coordinates of x^k mod f;
-    * t_k = Tr(x^k) = sum_d P[k+d][d], the trace of multiplication by x^k;
-    * H_c[a, b] = t_(a+b+c), so Tr(lam u v) = sum lam_c u_a v_b t_(a+b+c);
-    * Phi, the matrix of y -> y^q (column a is P[aq]), so that
-      Tr(lam y^(q^j) y) = y^T (sum_c lam_c K_j[c]) y with K_j[c] = (Phi^j)^T H_c;
-    * for the half slot, xi with xi + xi^(q^(m/2)) = 1, so that
-      Tr(xi z) = Tr_(q^(m/2)/q)(z) for z in GF(q^(m/2)): K_(m/2) is
-      precomposed with multiplication by xi.
+    * H_c[a, b] = t_(a+b+c), t_k = Tr(x^k), so Tr(lam u v) = sum lam_c u_a v_b t_(a+b+c);
+    * Tr(lam y^(q^j) y) = y^T (sum_c lam_c K_j[c]) y with K_j[c] = (Phi^j)^T H_c,
+      Phi the matrix of y -> y^q;
+    * for the half slot, Tr(xi z) = Tr_(q^(m/2)/q)(z) for z in GF(q^(m/2)),
+      so K_(m/2) is precomposed with multiplication by xi.
 
     The tensor is stored over GF(p) (``_gfp_matrix``), read-only, so a
-    contraction is one integer matmul mod p.  ``half_field`` holds the
-    element indices of GF(q^(m/2)), the kernel of Phi^(m/2) - 1, when the
-    family has a half slot.
+    contraction is one integer matmul mod p.
     """
 
     def __init__(self, F: SmallField, modulus: tuple[int, ...], i: int):
-        m, q = len(modulus) - 1, F.q
+        basis = poly_basis(F, modulus)
+        m = basis.m
         self.field_q, self.m = F, m
         self._place = F.p ** np.arange(F.e * m, dtype=np.int64)
-        slots = family_slots(m, i)
-        P = _power_coords(F, modulus, max(4 * m - 3, (m - 1) * q + 1))
-        t = np.zeros(3 * m - 2, dtype=np.uint8)
-        for d in range(m):
-            t = F.add[t, P[d:d + 3 * m - 2, d]]
         ar = np.arange(m)
-        H = t[ar[:, None, None] + ar[None, :, None] + ar]  # H[c, a, b]
-        eye = np.eye(m, dtype=np.uint8)
-        powers = [eye]
-        for _ in range(max((s.j for s in slots), default=0)):
-            powers.append(F.matmul(P[ar * q].T, powers[-1]))
+        H = basis.trace[ar[:, None, None] + ar[None, :, None] + ar]  # H[c, a, b]
         blocks = [np.zeros((0, m * m), dtype=np.uint8)]  # i = 0 at m = 3 has no slot
-        self.half_field: frozenset[int] = frozenset()
-        for s in slots:
-            K = F.matmul(powers[s.j].T, H.transpose(1, 0, 2)).transpose(1, 0, 2)  # K[c, a, b]
+        for s in family_slots(m, i):
+            K = F.matmul(basis.frobenius_powers[s.j].T, H.transpose(1, 0, 2)).transpose(1, 0, 2)  # K[c, a, b]
             if s.half:
-                xi = _solve(F, F.add[eye, powers[s.j]], eye[0])
-                K = F.matmul(F.matmul(xi, P[ar[:, None] + ar]), K)  # row c: coordinates of xi x^c
-                self.half_field = self._kernel(F.add[powers[s.j], F.neg[eye]])
+                K = F.matmul(basis.multiplication(basis.xi), K)
             blocks.append(K.reshape(m, m * m))
         self._K = _frozen(_gfp_matrix(F, np.concatenate(blocks)))
 
@@ -194,32 +167,11 @@ class TraceTensor:
         flat = coords.reshape(-1) @ self._K % F.p
         return flat.reshape(m, m, F.e) @ (F.p ** np.arange(F.e))
 
-    def _kernel(self, A: np.ndarray) -> frozenset[int]:
-        """The element indices lam with A lam = 0, A a GF(q)-matrix: every
-        GF(p) combination of a kernel basis of A on base-p digits."""
-        p = self.field_q.p
-        G = _gfp_matrix(self.field_q, A.T)  # digits(lam) @ G = digits(A lam)
-        basis = np.array(radical_basis(GramMatrix(G.T, small_field(p))), dtype=np.int64)
-        combos = digits(np.arange(p ** len(basis)), p, len(basis))
-        return frozenset((combos @ basis % p @ self._place).tolist())
-
 
 @lru_cache(maxsize=None)
 def trace_tensor(F: SmallField, modulus: tuple[int, ...], i: int) -> TraceTensor:
     """The TraceTensor of Q1(i)/Q2(i) over GF(q)[x]/(modulus), built once."""
     return TraceTensor(F, modulus, i)
-
-
-def _solve(F: SmallField, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One solution of A x = b over GF(q), free coordinates zero."""
-    rows, pivots = _row_reduce(np.column_stack([A, b]), F)
-    m = A.shape[1]
-    if m in pivots:
-        raise BchFormsError("inconsistent linear system")  # internal bug
-    x = np.zeros(m, dtype=np.uint8)
-    for row, c in zip(rows, pivots):
-        x[c] = row[m]
-    return x
 
 
 class TraceQuadraticForm:
@@ -233,7 +185,7 @@ class TraceQuadraticForm:
         for slot, lam in zip(slots, lambdas):
             if not 0 <= lam < field.size:
                 raise OutOfRange(f"lambda={lam} is not a field element index in [0, {field.size})")
-            if slot.half and lam not in self.tensor.half_field:
+            if slot.half and lam not in field.basis.half_field:
                 raise InvalidSubfield(f"lambda for slot j={slot.j} must lie in GF(q^(m/2))")
         self.field = field
         self.i = i
@@ -341,29 +293,6 @@ def polarize(form) -> GramMatrix:
     return GramMatrix(entries=gram, field_q=F)
 
 
-def _row_reduce(M, F: SmallField) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan elimination over GF(q) of a matrix of any shape: the
-    reduced row echelon rows and the pivot columns."""
-    add, mul, neg = F.add_rows, F.mul_rows, F.neg_list
-    A = np.asarray(M, dtype=np.int64).tolist()
-    cols = len(A[0]) if A else 0
-    pivots: list[int] = []
-    for c in range(cols):
-        top = len(pivots)
-        piv = next((r for r in range(top, len(A)) if A[r][c]), None)
-        if piv is None:
-            continue
-        A[top], A[piv] = A[piv], A[top]
-        scale = mul[F.inv_el(A[top][c])]
-        prow = A[top] = [scale[v] for v in A[top]]
-        for r, row in enumerate(A):
-            if r != top and row[c]:
-                f = mul[neg[row[c]]]
-                A[r] = [add[x][f[y]] for x, y in zip(row, prow)]
-        pivots.append(c)
-    return A, pivots
-
-
 def bilinear_rank(M: GramMatrix) -> int:
     """Matrix rank over GF(q)."""
     return len(M.reduced[1])
@@ -371,17 +300,7 @@ def bilinear_rank(M: GramMatrix) -> int:
 
 def radical_basis(M: GramMatrix) -> list[list[int]]:
     """Basis of Rad B = {v : Mv = 0} as GF(q) coordinate vectors."""
-    F = M.field_q
-    m = M.m
-    A, pivots = M.reduced
-    basis = []
-    for fc in (c for c in range(m) if c not in pivots):
-        v = [0] * m
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = F.neg_el(A[r][fc])
-        basis.append(v)
-    return basis
+    return _null_space(M.field_q, M.reduced, M.m)
 
 
 def classify_symmetric(M: GramMatrix) -> RankType:

@@ -8,23 +8,29 @@ with the base-p encoding this makes the base-p digits of the integer the
 full coordinate vector over GF(p).  Zero is 0, one is 1, and GF(q) sits
 inside GF(q^m) as the indices 0..q-1.
 
-Multiplication goes through discrete-log tables, built by GF(p)-linear
+``PolyBasis`` is the one model of GF(q)[x]/(f) on that basis, built from
+the modulus f alone (x^k mod f, Frobenius, trace functional, subfield).
+The irreducibility test, alpha, the exp and trace tables and the trace
+forms of ``forms`` all read it; ``_row_reduce`` is the one GF(q)
+elimination.
+
+Multiplication goes through discrete-log tables, filled by GF(p)-linear
 algebra on digit vectors; addition is base-p digit arithmetic (XOR when
 p = 2).  GF(q) for q = p^e, e >= 2, is built the same way, as the extension
 GF(p^e) of GF(p), and its dense tables are read off those logs.  Every
-numpy table is made read-only when it is built, and ``small_field`` and
-``field_for`` cache one object per field for the whole process, shared by
-fields, kernels, forms and worker threads.
+numpy table is made read-only when it is built, and ``small_field``,
+``field_for`` and ``poly_basis`` cache one object per field for the whole
+process, shared by fields, kernels, forms and worker threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import BchFormsError, EvenCharacteristic, InvalidSubfield, NotPrime
+from .errors import BchFormsError, EvenCharacteristic, InvalidSubfield, NotPrime, OutOfRange
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -70,20 +76,6 @@ def poly_trim(c: list[int]) -> list[int]:
     return c
 
 
-def poly_deg(c: list[int]) -> int:
-    return len(c) - 1
-
-
-def poly_add(F: "SmallField", a: list[int], b: list[int]) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = F.add_el(x, y)
-    return poly_trim(out)
-
-
 def poly_mul(F: "SmallField", a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
@@ -95,60 +87,6 @@ def poly_mul(F: "SmallField", a: list[int], b: list[int]) -> list[int]:
             if y:
                 out[i + j] = F.add_el(out[i + j], F.mul_el(x, y))
     return poly_trim(out)
-
-
-def poly_mod(F: "SmallField", a: list[int], b: list[int]) -> list[int]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    inv_lead = F.inv_el(b[-1])
-    while len(r) >= len(b):
-        c = F.mul_el(r[-1], inv_lead)
-        d = len(r) - len(b)
-        for i, y in enumerate(b):
-            r[d + i] = F.sub_el(r[d + i], F.mul_el(c, y))
-        poly_trim(r)
-    return r
-
-
-def poly_gcd(F: "SmallField", a: list[int], b: list[int]) -> list[int]:
-    """A gcd of a and b, up to a unit factor (not normalized to monic)."""
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, poly_mod(F, a, b)
-    return a
-
-
-def poly_powmod(F: "SmallField", a: list[int], k: int, mod: list[int]) -> list[int]:
-    result = [1]
-    base = poly_mod(F, a, mod)
-    while k:
-        if k & 1:
-            result = poly_mod(F, poly_mul(F, result, base), mod)
-        base = poly_mod(F, poly_mul(F, base, base), mod)
-        k >>= 1
-    return result
-
-
-def poly_is_irreducible(F: "SmallField", f: list[int]) -> bool:
-    """Irreducibility over GF(q) via the Frobenius criterion:
-    x^(q^d) == x mod f, and gcd(x^(q^(d/r)) - x, f) = 1 for prime r | d."""
-    d = poly_deg(f)
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    q = F.q
-    x = [0, 1]
-    frob = poly_powmod(F, x, q ** d, f)
-    if frob != poly_mod(F, x, f):
-        return False
-    for r in factorize(d):
-        g = poly_powmod(F, x, q ** (d // r), f)
-        g = poly_add(F, g, [0, F.neg_el(1)])  # x^(q^(d/r)) - x
-        if poly_deg(poly_gcd(F, g, f)) != 0:
-            return False
-    return True
 
 
 def monic_poly_from_code(F: "SmallField", degree: int, code: int) -> list[int]:
@@ -175,14 +113,69 @@ def _has_root(F: "SmallField", f: list[int]) -> bool:
 def smallest_irreducible(F: "SmallField", degree: int) -> list[int]:
     """The monic irreducible of the given degree with the least code.  A
     candidate of degree >= 2 with a root in GF(q) has a linear factor, so
-    it is skipped before the Frobenius test."""
+    it is skipped before the Berlekamp test (``PolyBasis.is_irreducible``)."""
     for code in range(F.q ** degree):
         f = monic_poly_from_code(F, degree, code)
         if degree >= 2 and _has_root(F, f):
             continue
-        if poly_is_irreducible(F, f):
+        if PolyBasis(F, tuple(f)).is_irreducible():
             return f
     raise BchFormsError(f"no irreducible of degree {degree} over GF({F.q})")  # unreachable
+
+
+# ---------------------------------------------------------------------------
+# Linear algebra over GF(q): the one elimination
+# ---------------------------------------------------------------------------
+
+
+def _row_reduce(M, F: "SmallField") -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination over GF(q) of a matrix of any shape: the
+    reduced row echelon rows and the pivot columns."""
+    add, mul, neg = F.add_rows, F.mul_rows, F.neg_list
+    A = np.asarray(M, dtype=np.int64).tolist()
+    cols = len(A[0]) if A else 0
+    pivots: list[int] = []
+    for c in range(cols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(A)) if A[r][c]), None)
+        if piv is None:
+            continue
+        A[top], A[piv] = A[piv], A[top]
+        scale = mul[F.inv_el(A[top][c])]
+        prow = A[top] = [scale[v] for v in A[top]]
+        for r, row in enumerate(A):
+            if r != top and row[c]:
+                f = mul[neg[row[c]]]
+                A[r] = [add[x][f[y]] for x, y in zip(row, prow)]
+        pivots.append(c)
+    return A, pivots
+
+
+def _null_space(F: "SmallField", reduced: tuple[list[list[int]], list[int]], cols: int) -> list[list[int]]:
+    """Basis of {v : A v = 0} as GF(q) coordinate vectors, from
+    ``_row_reduce(A)`` of an A with the given number of columns: one
+    vector per free column."""
+    A, pivots = reduced
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = F.neg_el(A[r][fc])
+        basis.append(v)
+    return basis
+
+
+def _solve(F: "SmallField", A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One solution of A x = b over GF(q), free coordinates zero."""
+    rows, pivots = _row_reduce(np.column_stack([A, b]), F)
+    m = A.shape[1]
+    if m in pivots:
+        raise BchFormsError("inconsistent linear system")  # internal bug
+    x = np.zeros(m, dtype=np.uint8)
+    for row, c in zip(rows, pivots):
+        x[c] = row[m]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +202,8 @@ class SmallField:
         self.p = p
         self.e = e
         self.q = q = p ** e
+        if q > 256:
+            raise OutOfRange(f"GF({q}) is above GF(256), the largest field whose tables fit uint8")
 
         digs = digits(np.arange(q), p, e)
         ppow = p ** np.arange(e)
@@ -240,9 +235,6 @@ class SmallField:
     # scalar ops (ints in 0..q-1)
     def add_el(self, a: int, b: int) -> int:
         return self.add_rows[a][b]
-
-    def sub_el(self, a: int, b: int) -> int:
-        return self.add_rows[a][self.neg_list[b]]
 
     def neg_el(self, a: int) -> int:
         return self.neg_list[a]
@@ -288,8 +280,17 @@ class SmallField:
         return f"SmallField(p={self.p}, e={self.e})"
 
 
+# prime_power factors q by trial division, so it refuses a q above MAX_Q
+# first.  Its worst case below the bound, the prime 2^32 - 5, takes 2^16
+# divisions: about 8 ms on 2 vCPUs.
+MAX_Q = 1 << 32
+
+
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p^e; NotPrime when q is not a prime power."""
+    """(p, e) with q = p^e; NotPrime when q is not a prime power,
+    OutOfRange above MAX_Q."""
+    if q > MAX_Q:
+        raise OutOfRange(f"q={q} is above the largest checked field size 2^32")
     fac = factorize(q)
     if len(fac) != 1:
         raise NotPrime(f"{q} is not a prime power")
@@ -343,13 +344,130 @@ def _gfp_apply(L: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
     return (digits(x, p, L.shape[1]) @ L.T % p) @ p ** np.arange(L.shape[0], dtype=np.int64)
 
 
+def _gfp_matrix(F: SmallField, K: np.ndarray) -> np.ndarray:
+    """The GF(q)-linear map x -> sum_r x_r K[r] (K of shape (rows, cols))
+    as an int64 matrix on base-p digits: row r*e + u is the image of the
+    GF(q) element p^u in place r, column c*e + v the base-p digit v of
+    output c.  At prime q it is K itself."""
+    scaled = F.mul[(F.p ** np.arange(F.e))[:, None, None], K[None]]  # [u, r, c]
+    return digits(scaled, F.p, F.e).transpose(1, 0, 2, 3).reshape(K.shape[0] * F.e, K.shape[1] * F.e)
+
+
+def _gfp_power(A: np.ndarray, k: int, p: int) -> np.ndarray:
+    """A^k over GF(p) by repeated squaring, A a square int64 matrix."""
+    out = np.eye(len(A), dtype=np.int64)
+    while k:
+        if k & 1:
+            out = out @ A % p
+        A, k = A @ A % p, k >> 1
+    return out
+
+
+def _power_coords(F: SmallField, modulus: tuple[int, ...], count: int) -> np.ndarray:
+    """P[k] = GF(q) coordinates of x^k mod f for k < count, f the monic
+    modulus: x^(k+1) is x^k shifted up one place, its top coordinate c
+    folded back through x^m = -(f_0 + ... + f_(m-1) x^(m-1)).  The rows
+    are short, so they are built as lists."""
+    m = len(modulus) - 1
+    add, mul = F.add_rows, F.mul_rows
+    fold = [F.neg_el(c) for c in modulus[:m]]
+    rows, row = [], [1] + [0] * (m - 1)
+    for _ in range(count):
+        rows.append(row)
+        top = mul[row[-1]]
+        row = [add[a][top[c]] for a, c in zip([0] + row[:-1], fold)]
+    return np.array(rows, dtype=np.uint8)
+
+
+class PolyBasis:
+    """GF(q)[x]/(f), f monic of degree m, on the polynomial basis x^a
+    (a < m), from the modulus alone.  ``powers[k]`` holds the coordinates
+    of x^k mod f for k < 3m-2 and k <= (m-1)q, and ``frobenius`` is Phi,
+    the matrix of y -> y^q (column a is x^(aq) mod f); the rest is read
+    off them on first use.  Every array is read-only.
+    """
+
+    def __init__(self, F: SmallField, modulus: tuple[int, ...]):
+        m, q = len(modulus) - 1, F.q
+        self.field_q, self.m = F, m
+        self.powers = _frozen(_power_coords(F, modulus, max(3 * m - 2, (m - 1) * q + 1)))
+        self.frobenius = _frozen(self.powers[np.arange(m) * q].T)
+
+    def is_irreducible(self) -> bool:
+        """Berlekamp's test (Lidl & Niederreiter, Finite Fields, ch. 4):
+        nullity(Phi - 1) is the number of distinct irreducible factors of
+        f, so f is a power of one irreducible iff it is 1.  Phi^m = 1, that
+        is f | x^(q^m) - x, then rules out a repeated factor, since
+        x^(q^m) - x is squarefree."""
+        F, m = self.field_q, self.m
+        G = _gfp_matrix(F, self.frobenius.T)  # digits(y) @ G = digits(y^q)
+        if not np.array_equal(_gfp_power(G, m, F.p), np.eye(len(G), dtype=np.int64)):
+            return False
+        return len(_row_reduce(F.add[self.frobenius, F.neg[np.eye(m, dtype=np.uint8)]], F)[1]) == m - 1
+
+    def multiplication(self, c: int) -> np.ndarray:
+        """Row a holds the coordinates of c x^a, c an element index: the
+        sum over b of c_b (x^(a+b) mod f)."""
+        ar = np.arange(self.m)
+        return self.field_q.matmul(digits(c, self.field_q.q, self.m), self.powers[ar[:, None] + ar])
+
+    @cached_property
+    def trace(self) -> np.ndarray:
+        """t_k = Tr(x^k) for k < 3m-2.  For k < m it is the trace of the
+        multiplication by x^k, sum_d (x^(k+d) mod f)_d; the trace is
+        GF(q)-linear, so every t_k is then the functional (t_0 .. t_(m-1))
+        applied to the coordinates of x^k mod f."""
+        F, m = self.field_q, self.m
+        t = np.zeros(m, dtype=np.uint8)
+        for d in range(m):
+            t = F.add[t, self.powers[d:d + m, d]]
+        return _frozen(F.matmul(self.powers[:3 * m - 2], t))
+
+    @cached_property
+    def frobenius_powers(self) -> tuple[np.ndarray, ...]:
+        """Phi^j for j = 0..m."""
+        out = [np.eye(self.m, dtype=np.uint8)]
+        for _ in range(self.m):
+            out.append(_frozen(self.field_q.matmul(self.frobenius, out[-1])))
+        return tuple(out)
+
+    @cached_property
+    def xi(self) -> int:
+        """The element index of one xi with xi + xi^(q^(m/2)) = 1 (even m),
+        so that Tr(xi z) is the trace of z from GF(q^(m/2)) down to GF(q)."""
+        F, m = self.field_q, self.m
+        eye = np.eye(m, dtype=np.uint8)
+        coords = _solve(F, F.add[eye, self.frobenius_powers[m // 2]], eye[0])
+        return int(coords @ F.q ** np.arange(m, dtype=np.int64))
+
+    @cached_property
+    def half_field(self) -> frozenset[int]:
+        """The element indices of GF(q^(m/2)) (even m), the lam with
+        Phi^(m/2) lam = lam: every GF(p) combination of a kernel basis on
+        base-p digits."""
+        F = self.field_q
+        p, Fp = F.p, small_field(F.p)
+        A = F.add[self.frobenius_powers[self.m // 2], F.neg[np.eye(self.m, dtype=np.uint8)]]
+        G = _gfp_matrix(F, A.T)  # digits(lam) @ G = digits(A lam)
+        basis = np.array(_null_space(Fp, _row_reduce(G.T, Fp), len(G)), dtype=np.int64)
+        combos = digits(np.arange(p ** len(basis)), p, len(basis))
+        return frozenset((combos @ basis % p @ p ** np.arange(len(G), dtype=np.int64)).tolist())
+
+
+@lru_cache(maxsize=None)
+def poly_basis(F: SmallField, modulus: tuple[int, ...]) -> PolyBasis:
+    """The PolyBasis of GF(q)[x]/(modulus), built once."""
+    return PolyBasis(F, modulus)
+
+
 @dataclass
 class FieldContext:
     """The tower GF(p) < GF(q) < GF(q^m) with log/exp tables.
 
     ``build_field`` fixes the extension modulus; alpha and the exp/log
     tables are built together on first use, the trace tables each on
-    first use after them.  Every table is read-only.
+    first use after them, all from the model ``basis``.  Every table is
+    read-only.
     """
 
     base: SmallField
@@ -381,6 +499,11 @@ class FieldContext:
     def n(self) -> int:
         return self.size - 1
 
+    @property
+    def basis(self) -> PolyBasis:
+        """The polynomial-basis model of GF(q)[x]/(ext_modulus)."""
+        return poly_basis(self.base, tuple(self.ext_modulus))
+
     # -- log/exp tables ---------------------------------------------------
 
     @property
@@ -405,35 +528,23 @@ class FieldContext:
         return self._log_index
 
     def _build_log_exp(self) -> None:
-        base, ext_modulus, m, p, q = self.base, self.ext_modulus, self.m, self.p, self.q
-        size = q ** m
+        p, size = self.p, self.size
         n = size - 1
 
-        def el_mul(x: int, y: int) -> int:
-            cx = [x // q ** i % q for i in range(m)]
-            cy = [y // q ** i % q for i in range(m)]
-            prod = poly_mod(base, poly_mul(base, cx, cy), ext_modulus)
-            return sum(c * q ** i for i, c in enumerate(prod))
-
-        def el_pow(x: int, k: int) -> int:
-            r = 1
-            b = x
-            while k:
-                if k & 1:
-                    r = el_mul(r, b)
-                b = el_mul(b, b)
-                k >>= 1
-            return r
-
-        # alpha: the smallest unit whose order is no proper divisor of n (x^n = 1
-        # holds for every unit); GF(2) has no primes in n = 1 and takes alpha = 1
-        primes = factorize(n)
-        alpha = next(c for c in range(1, size) if all(el_pow(c, n // r) != 1 for r in primes))
+        # alpha: the smallest unit whose order is no proper divisor of n, i.e.
+        # whose GF(p)-matrix A of "multiply by alpha" has A^(n/r) != 1 for
+        # every prime r | n; GF(2) has no primes in n = 1 and takes alpha = 1.
+        # The largest r goes first: it rejects the GF(q) elements c < q,
+        # whose order divides q - 1, with one power each.
+        primes = sorted(factorize(n), reverse=True)
+        one = np.eye(self.e * self.m, dtype=np.int64)
+        for alpha in range(1, size):
+            A = _gfp_matrix(self.base, self.basis.multiplication(alpha)).T
+            if not any(np.array_equal(_gfp_power(A, n // r, p), one) for r in primes):
+                break
 
         # exp table by block doubling: exp[B:2B] = alpha^B * exp[:B], where
         # "multiply by alpha^B" is the GF(p)-matrix A^B on base-p digit vectors
-        count = base.e * m
-        A = digits([el_mul(alpha, p ** k) for k in range(count)], p, count).T
         exp_index = np.empty(n, dtype=np.int64)
         exp_index[0] = 1
         AB, B = A, 1
@@ -464,15 +575,6 @@ class FieldContext:
             return 0
         return int(self.exp_index[(int(self.log_index[x]) + int(self.log_index[y])) % self.n])
 
-    def pow(self, x: int, k: int) -> int:
-        if x == 0:
-            return 0 if k > 0 else 1
-        return int(self.exp_index[(int(self.log_index[x]) * k) % self.n])
-
-    def frob(self, x: int) -> int:
-        """x^q."""
-        return self.pow(x, self.q)
-
     def in_base(self, x: int) -> bool:
         return x < self.q
 
@@ -483,44 +585,27 @@ class FieldContext:
             raise InvalidSubfield("GF(q^(m/2)) needs even m")
         return self.q ** (self.m // 2) + 1
 
-    # -- traces -----------------------------------------------------------
-
-    def _frob_sum(self, x: int, terms: int) -> int:
-        """sum_{j<terms} x^(q^j)."""
-        acc = 0
-        for _ in range(terms):
-            acc = self.add(acc, x)
-            x = self.frob(x)
-        return acc
-
-    def _frob_sum_matrix(self, terms: int) -> np.ndarray:
-        """GF(p)-matrix of x -> sum_{j<terms} x^(q^j); column k is the image of p^k."""
-        count = self.e * self.m
-        return digits([self._frob_sum(self.p ** k, terms) for k in range(count)], self.p, count).T
-
     # -- whole-orbit value tables -----------------------------------------
 
     @property
     def trace_vec(self) -> np.ndarray:
-        """trace_vec[t] = Tr_{GF(q^m)->GF(q)}(alpha^t), int64 of length n."""
+        """trace_vec[t] = Tr_{GF(q^m)->GF(q)}(alpha^t), int64 of length n:
+        the functional (t_0 .. t_(m-1)) of ``basis`` on the digits of exp."""
         if self._trace_vec is None:
-            tau = self._frob_sum_matrix(self.m)
-            if tau[self.e:].any():
-                raise BchFormsError("trace left GF(q)")  # internal bug
-            self._trace_vec = _frozen(_gfp_apply(tau[:self.e], self.exp_index, self.p))
+            L = _gfp_matrix(self.base, self.basis.trace[:self.m, None]).T
+            self._trace_vec = _frozen(_gfp_apply(L, self.exp_index, self.p))
         return self._trace_vec
 
     @property
     def half_trace_vec(self) -> np.ndarray:
         """half_trace_vec[t] = Tr_{GF(q^(m/2))->GF(q)}(alpha^t), valid only at
-        exponents t that are multiples of q^(m/2)+1 (zero elsewhere)."""
+        exponents t that are multiples of q^(m/2)+1 (zero elsewhere): there
+        alpha^t lies in GF(q^(m/2)), and its half trace is Tr(xi alpha^t)."""
         if self._half_trace_vec is None:
-            s = self.half_step
-            vals = _gfp_apply(self._frob_sum_matrix(self.m // 2), self.exp_index[::s], self.p)
-            if (vals >= self.q).any():
-                raise BchFormsError("half trace left GF(q)")  # internal bug
-            out = np.zeros(self.n, dtype=np.int64)
-            out[::s] = vals
+            s, n = self.half_step, self.n
+            t = np.arange(0, n, s)
+            out = np.zeros(n, dtype=np.int64)
+            out[t] = self.trace_vec[(t + self.log_index[self.basis.xi]) % n]
             self._half_trace_vec = _frozen(out)
         return self._half_trace_vec
 

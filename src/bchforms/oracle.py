@@ -158,15 +158,6 @@ def generator_route_weights(code, budget: EnumerationBudget = DEFAULT_BUDGET) ->
     return WeightEnumerator(counts={w: int(c) for w, c in enumerate(counts) if c}, length=n)
 
 
-def enumerate_code_weights(source, budget: EnumerationBudget = DEFAULT_BUDGET,
-                           workers: int | None = None) -> WeightEnumerator:
-    """Exact weight distribution; CodeParams uses the trace route, a
-    CyclicCode the generator route.  Both routes agree (tested)."""
-    if isinstance(source, CodeParams):
-        return trace_route_weights(source, budget, workers)
-    return generator_route_weights(source, budget)
-
-
 def rank_type_census(spec: FamilySpec, budget: EnumerationBudget = DEFAULT_BUDGET) -> InnerDistribution:
     """Classify every family member independently and tally.
 

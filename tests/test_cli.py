@@ -234,6 +234,32 @@ def test_bad_input_is_one_json_error(capsys, argv):
     assert doc["error"] in ("OutOfRange", "NotPrime")
 
 
+BIG_PRIME = str(2 ** 61 - 1)
+
+
+@pytest.mark.parametrize("argv", [
+    # GF(q) above 256: the uint8 field tables are refused before they are built
+    ("classify-form", "-q", "257", "-m", "1", "-i", "0", "--lambdas", "3"),
+    ("classify-form", "-q", "512", "-m", "1", "-i", "0", "--lambdas", "3"),
+    ("enumerator", "-q", "257", "-m", "1", "-i", "0", "--mode", "closed"),
+    ("genpoly", "-q", "257", "-m", "1", "--delta", "3"),
+    ("appendix-table", "-q", "257", "-m", "1", "--rank", "1", "--type", "1", "--c-class", "zero",
+     "--no-oracle"),
+    ("inner-dist", "--family", "S1", "-q", "257", "-m", "1", "-i", "0", "--method", "closed"),
+    # q above 2^32 is refused before it is factored
+    ("params", "-q", BIG_PRIME, "-m", "1", "-i", "0"),
+    ("dg-bound", "-n", "3", "-d", "1", "-q", BIG_PRIME),
+    ("verify", "cosets", "--q", BIG_PRIME),
+])
+def test_oversized_q_is_one_out_of_range_error(capsys, argv):
+    t0 = time.perf_counter()
+    code, doc = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert set(doc) == {"command", "error", "message"}
+    assert doc["error"] == "OutOfRange"
+
+
 def test_count_refuses_exactly_past_the_digit_limit(monkeypatch):
     # the refusal compares with 10^limit, names the limit and never
     # converts the count (LONG_COUNTS are the CLI calls that reach it)
@@ -307,6 +333,7 @@ def test_classify_form_reads_no_field_table(capsys, monkeypatch):
     monkeypatch.setattr(cli, "field_for", fresh_field)
     monkeypatch.delenv("BCHFORMS_BUDGET", raising=False)
     forms.trace_tensor.cache_clear()
+    gfarith.poly_basis.cache_clear()
     tracemalloc.start()
     try:
         code, doc = run_cli(capsys, "classify-form", "-q", "2", "-m", "19", "-i", "9", "--lambdas", "70446")
@@ -508,6 +535,20 @@ def test_family_domains_has_one_reader():
     # an enumeration that changes what a scan visits edits that function,
     # and no scan grows its own lambda product
     assert _references("family_domains") == [("schemes", "family_lambdas")]
+
+
+def test_extension_model_is_defined_once():
+    # x^k mod f, the Frobenius matrix Phi and the GF(q) elimination are
+    # derived in gfarith's PolyBasis alone: every other module reads the
+    # model, and no module grows a second derivation from the modulus
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (*FUNCTION, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(path.stem)
+    for name in ("_power_coords", "_row_reduce", "_solve", "_null_space", "_gfp_matrix", "PolyBasis"):
+        assert defined.get(name) == ["gfarith"], name
+    assert {module for module, _ in _references("_power_coords", "powers", "frobenius")} == {"gfarith"}
 
 
 def test_budget_has_one_reader():

@@ -8,8 +8,9 @@ import pytest
 
 from bchforms import gfarith
 from bchforms.cyclotomic import theorem_sweep
-from bchforms.errors import BchFormsError, EvenCharacteristic, InvalidSubfield, NotPrime
+from bchforms.errors import BchFormsError, EvenCharacteristic, InvalidSubfield, NotPrime, OutOfRange
 from bchforms.gfarith import FieldContext, SmallField, build_field, field_for, small_field
+from field_reference import frob, poly_add, poly_is_irreducible, poly_mod, power
 
 
 SMALL_TOWERS = [(2, 1, 3), (2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (3, 2, 1)]
@@ -34,7 +35,7 @@ def reference_tables(p: int, e: int, m: int):
     def el_mul(x, y):
         cx = [x // q ** k % q for k in range(m)]
         cy = [y // q ** k % q for k in range(m)]
-        prod = gfarith.poly_mod(base, gfarith.poly_mul(base, cx, cy), modulus)
+        prod = poly_mod(base, gfarith.poly_mul(base, cx, cy), modulus)
         return sum(c * q ** k for k, c in enumerate(prod))
 
     def el_pow(x, k):
@@ -93,8 +94,8 @@ def reference_small_field(p: int, e: int):
     mul = np.zeros((q, q), dtype=np.uint8)
     for a in range(q):
         for b in range(a, q):
-            add[a, b] = add[b, a] = index(gfarith.poly_add(Fp, coeffs[a], coeffs[b]))
-            prod = gfarith.poly_mod(Fp, gfarith.poly_mul(Fp, coeffs[a], coeffs[b]), modulus)
+            add[a, b] = add[b, a] = index(poly_add(Fp, coeffs[a], coeffs[b]))
+            prod = poly_mod(Fp, gfarith.poly_mul(Fp, coeffs[a], coeffs[b]), modulus)
             mul[a, b] = mul[b, a] = index(prod)
     neg = np.array([index([Fp.neg_el(x) for x in c]) for c in coeffs], dtype=np.uint8)
     inv = np.zeros(q, dtype=np.uint8)
@@ -113,7 +114,7 @@ def brute_mul(ctx: FieldContext, x: int, y: int) -> int:
     F, q = ctx.base, ctx.q
     cx = gfarith.digits(x, q, ctx.m).tolist()
     cy = gfarith.digits(y, q, ctx.m).tolist()
-    prod = gfarith.poly_mod(F, gfarith.poly_mul(F, cx, cy), ctx.ext_modulus)
+    prod = poly_mod(F, gfarith.poly_mul(F, cx, cy), ctx.ext_modulus)
     return sum(c * q ** k for k, c in enumerate(prod))
 
 
@@ -127,7 +128,7 @@ def test_build_field_gf27():
     ctx = build_field(3, 1, 3)
     assert ctx.size == 27
     # alpha has order exactly 26
-    seen = {ctx.pow(ctx.alpha, k) for k in range(26)}
+    seen = {power(ctx, ctx.alpha, k) for k in range(26)}
     assert len(seen) == 26
 
 
@@ -149,6 +150,18 @@ def test_not_prime_rejected():
         build_field(4, 1, 2)
     with pytest.raises(NotPrime):
         small_field(6)
+
+
+def test_field_size_bounds():
+    # q up to 2^32 is factored, GF(q) tables reach q = 256; past either
+    # bound the refusal comes first
+    assert gfarith.prime_power(gfarith.MAX_Q) == (2, 32)
+    with pytest.raises(OutOfRange):
+        gfarith.prime_power(gfarith.MAX_Q + 1)
+    assert small_field(256).q == 256
+    for q in (257, 512):
+        with pytest.raises(OutOfRange):
+            small_field(q)
 
 
 @pytest.mark.parametrize("p,e,m", SMALL_TOWERS)
@@ -173,7 +186,7 @@ def test_field_axioms_sampled(p, e, m):
         assert ctx.mul(x, ctx.add(y, z)) == ctx.add(ctx.mul(x, y), ctx.mul(x, z))
         assert ctx.mul(x, y) == brute_mul(ctx, x, y)
     for x in range(1, size):
-        assert ctx.mul(x, ctx.pow(x, -1)) == 1
+        assert ctx.mul(x, power(ctx, x, -1)) == 1
 
 
 @pytest.mark.parametrize("p,e,m", SMALL_TOWERS)
@@ -181,7 +194,7 @@ def test_frobenius_additive(p, e, m):
     ctx = build_field(p, e, m)
     for x in range(ctx.size):
         for y in range(min(ctx.size, 16)):
-            assert ctx.frob(ctx.add(x, y)) == ctx.add(ctx.frob(x), ctx.frob(y))
+            assert frob(ctx, ctx.add(x, y)) == ctx.add(frob(ctx, x), frob(ctx, y))
 
 
 def trace_by_index(ctx: FieldContext) -> np.ndarray:
@@ -206,7 +219,7 @@ def test_trace_gf8_explicit():
     ctx = build_field(2, 1, 3)
     assert ctx.ext_modulus == [1, 1, 0, 1]
     a = ctx.alpha
-    s = ctx.add(ctx.add(a, ctx.pow(a, 2)), ctx.pow(a, 4))
+    s = ctx.add(ctx.add(a, power(ctx, a, 2)), power(ctx, a, 4))
     assert ctx.trace_vec[ctx.log_index[a]] == s
 
 
@@ -228,7 +241,7 @@ def test_half_trace_vec():
     half = reference_tables(2, 1, 4)[4]
     # the multiples of half_step are the logs of GF(4)*, the fixed points of
     # x -> x^4, and half_trace_vec is zero off them
-    fixed = {int(ctx.log_index[x]) for x in range(1, ctx.size) if ctx.pow(x, ctx.q ** 2) == x}
+    fixed = {int(ctx.log_index[x]) for x in range(1, ctx.size) if power(ctx, x, ctx.q ** 2) == x}
     assert set(np.flatnonzero(ctx.half_trace_vec)) <= fixed == set(range(0, ctx.n, s))
     assert ctx.half_trace_vec.tobytes() == half.tobytes()
     with pytest.raises(InvalidSubfield):
@@ -453,12 +466,23 @@ def test_scalar_add_neg_digitwise(q, m):
         assert ctx.neg(x) == digitwise(ctx.p, count, int(x), sign=-1)
 
 
+@pytest.mark.parametrize("q,max_degree", [(2, 4), (3, 4), (4, 4), (5, 4), (7, 3), (8, 3), (9, 3), (16, 3)])
+def test_berlekamp_test_equals_frobenius_criterion(q, max_degree):
+    # every monic polynomial of each degree, roots included: the model's
+    # nullity(Phi - 1) = 1 and Phi^m = 1 against the gcd criterion
+    F = small_field(q)
+    for degree in range(1, max_degree + 1):
+        for code in range(q ** degree):
+            f = gfarith.monic_poly_from_code(F, degree, code)
+            assert gfarith.PolyBasis(F, tuple(f)).is_irreducible() == poly_is_irreducible(F, f), (q, f)
+
+
 def unfiltered_smallest_irreducible(F, degree):
     """The search before the root filter: the Frobenius test on every
     candidate in code order."""
     for code in range(F.q ** degree):
         f = gfarith.monic_poly_from_code(F, degree, code)
-        if gfarith.poly_is_irreducible(F, f):
+        if poly_is_irreducible(F, f):
             return f
 
 

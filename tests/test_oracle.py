@@ -11,7 +11,6 @@ from bchforms.forms import RankType, all_rank_types, canonical_form
 from bchforms.gfarith import digits, field_for, small_field
 from bchforms.oracle import (
     EnumerationBudget,
-    enumerate_code_weights,
     generator_route_weights,
     rank_type_census,
     trace_route_weights,
@@ -143,12 +142,6 @@ def test_routes_agree_desk_scale():
         gen = generator_route_weights(code)
         assert trace.counts == gen.counts, (q, m, i)
         assert trace.total() == q ** params.dimension
-
-
-def test_enumerate_code_weights_dispatch():
-    params = code_params(2, 4, 1)
-    code = generator_polynomial(2, 4, params.delta_i)
-    assert enumerate_code_weights(params).counts == enumerate_code_weights(code).counts
 
 
 def test_worker_count_independence():

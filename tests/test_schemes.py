@@ -9,6 +9,7 @@ from bchforms.cyclotomic import code_params
 from bchforms.errors import BudgetExceeded, ParityMismatch
 from bchforms.forms import GramMatrix, classify_quadratic, family_slots
 from bchforms.gfarith import field_for, small_field
+from field_reference import power
 from bchforms.oracle import rank_type_census
 from bchforms.schemes import (
     EnumerationBudget,
@@ -213,11 +214,11 @@ def _scalar_bilinear_gram(field, i, lambdas):
             if lam == 0:
                 continue
             if slot.half:
-                acc = field.add(acc, field.mul(lam, field.pow(x, field.q ** (m // 2))))
+                acc = field.add(acc, field.mul(lam, power(field, x, field.q ** (m // 2))))
             else:
-                acc = field.add(acc, field.mul(lam, field.pow(x, field.q ** slot.j)))
+                acc = field.add(acc, field.mul(lam, power(field, x, field.q ** slot.j)))
                 back = field.q ** (m - slot.j)
-                acc = field.add(acc, field.mul(field.pow(lam, back), field.pow(x, back)))
+                acc = field.add(acc, field.mul(power(field, lam, back), power(field, x, back)))
         images.append(acc)
     tr = np.zeros(field.size, dtype=np.int64)
     tr[field.exp_index] = field.trace_vec
