@@ -10,10 +10,13 @@ T[v, l] = #{x : Q(x) + l.x = v} (``kernels.walsh_table``), which is an
 exact count, not a formula.  At even q the kernel takes it from the real
 character sums of Q + l.x, by the orthogonality of the characters of
 GF(q); at q = 2 the coset histogram reads T[0, l] = (2^m + W(l))/2 off
-the spectrum W alone.  The trace route uses one fact beyond
-counting: that mu -> Tr(mu x) is GF(q)-linear, so the words of a coset are
-f + l.x + eps over all functionals l.  The kernel checks at run time that
-the trace vector is a linear m-sequence before it relies on this.
+the spectrum W alone, which for m <= 8 is one matmul of the signs of Q by
+a dense matrix cached per field.  At even q the value vector of Q is
+summed slot by slot with XOR, GF(q) addition on element indices.  The
+trace route uses one fact beyond counting: that mu -> Tr(mu x) is
+GF(q)-linear, so the words of a coset are f + l.x + eps over all
+functionals l.  The kernel checks at run time that the trace vector is a
+linear m-sequence before it relies on this.
 """
 
 from __future__ import annotations

@@ -100,7 +100,16 @@ def test_transform_matches_shift_scan_every_member(q, m, i):
     assert members == q ** (m * (2 * i - m + 3) // 2)
 
 
-def test_rejects_random_trace_vector():
+@pytest.fixture
+def no_dense(monkeypatch):
+    """Fail if a plan reaches its dense matrix: a rejected trace vector must
+    raise before any of the plan is built."""
+    def refuse(pos, q, m):
+        raise AssertionError(f"dense matrix built for GF({q}^{m})")
+    monkeypatch.setattr(kernels, "_dense_walsh", refuse)
+
+
+def test_rejects_random_trace_vector(no_dense):
     _, _, pair, neg = field_tables(3, 3)
     trv = np.random.default_rng(7).integers(0, 3, 26).astype(np.int64)
     qv = np.zeros(26, dtype=np.int64)
@@ -108,7 +117,7 @@ def test_rejects_random_trace_vector():
         kernel_counts(qv, np.concatenate([trv, trv]), pair, neg)
 
 
-def test_rejects_nonlinear_sequence_with_full_windows():
+def test_rejects_nonlinear_sequence_with_full_windows(no_dense):
     # a binary length-15 word whose cyclic 4-windows are the 15 nonzero
     # vectors (a punctured de Bruijn sequence) but whose shifts are not
     # closed under addition, so it obeys no linear recurrence
@@ -146,6 +155,36 @@ def test_eval_qvec_both_paths():
     out = np.zeros(n, dtype=np.int64)
     kernels.eval_qvec(lam_logs, index_rows, np.tile(rows, 2), pair, q, out)
     assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_even_eval_qvec_equals_pair_sum(q):
+    # even q folds the slots by XOR; the reference sums them with the
+    # addition table, one slot at a time
+    n, n_slots = 63, 4
+    F = small_field(q)
+    pair = F.add.astype(np.int64).ravel()
+    rng = np.random.default_rng(q)
+    rows = rng.integers(0, q, (n_slots, n)).astype(np.int64)
+    index_rows = rng.integers(0, n, (n_slots, n))
+    for _ in range(20):
+        lam_logs = rng.integers(0, n, n_slots)
+        lam_logs[rng.integers(n_slots)] = -1
+        expected = np.zeros(n, dtype=np.int64)
+        for s, l in enumerate(lam_logs):
+            if l >= 0:
+                expected = pair[expected * q + rows[s][(l + index_rows[s]) % n]]
+        out = np.empty(n, dtype=np.int64)
+        kernels.eval_qvec(lam_logs, index_rows, np.tile(rows, 2), pair, q, out)
+        assert np.array_equal(out, expected), lam_logs
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_even_field_addition_is_xor(e):
+    # eval_qvec at even q and the sign rounds both add element indices by XOR
+    q = 1 << e
+    a = np.arange(q)
+    assert np.array_equal(small_field(q).add, a[:, None] ^ a)
 
 
 @pytest.mark.parametrize("q,m,i", [(2, 8, 4), (3, 6, 3), (2, 7, 4)])
@@ -207,7 +246,7 @@ def test_equal_writeable_copy_gets_the_same_counts():
     assert np.array_equal(kernels.coset_weight_table(qv, *copies, neg), ref)
 
 
-def test_corrupted_copy_of_plan_arrays_is_rejected():
+def test_corrupted_copy_of_plan_arrays_is_rejected(no_dense):
     fld = field_for(2, 6)
     trv2, pair, neg = kernels.field_inputs(fld)
     n = fld.n
@@ -332,6 +371,40 @@ def test_even_walsh_table_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * (q - 1) * q ** m * 4, peak
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_binary_plan_dense_matrix(m):
+    # D[l, t] = (-1)^(l.pos[t]) / 2: the Sylvester-Hadamard columns of the
+    # coordinate indices of alpha^t, halved
+    fld = field_for(2, m)
+    plan = kernels._plan(*kernels.field_inputs(fld)[:2], 2)
+    D = plan.dense
+    assert D.dtype == np.float32 and D.shape == (2 ** m, fld.n)
+    assert np.array_equal(D, kernels._hadamard(2 ** m)[:, plan.pos] / 2)
+    assert not D.flags.writeable
+
+
+@pytest.mark.parametrize("q,m", [(2, 9), (2, 12), (3, 4), (4, 4), (8, 2)])
+def test_plan_without_dense_matrix(q, m):
+    plan = kernels._plan(*kernels.field_inputs(field_for(q, m))[:2], q)
+    assert plan.dense is None
+
+
+def test_binary_dense_plan_memory(monkeypatch):
+    # GF(2^8): the dense matrix is 256 x 255 float32 (255 KB), built from
+    # uint16 indices and uint8 parities
+    fld = field_for(2, 8)
+    trv2, pair, _ = kernels.field_inputs(fld)
+    monkeypatch.setattr(kernels, "_PLANS", ())
+    tracemalloc.start()
+    try:
+        plan = kernels._plan(trv2.copy(), pair.copy(), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.dense is not None
+    assert peak <= 1 << 20, peak
 
 
 def test_field_inputs_memory(monkeypatch):

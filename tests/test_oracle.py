@@ -153,6 +153,21 @@ def test_worker_count_independence():
     assert one.min_positive_weight() == 23
 
 
+@pytest.mark.parametrize("q,m,i", [(2, 6, 3), (2, 7, 4), (2, 8, 4)])
+def test_binary_dense_route_equals_sign_rounds(monkeypatch, q, m, i):
+    # m <= 8 at q = 2 takes the spectrum as one matmul by the plan's dense
+    # matrix; with _DENSE_MAX = 0 the same scan runs the sign rounds
+    params = code_params(q, m, i)
+    dense = trace_route_weights(params, workers=1)
+    assert kernels._plan(*kernels.field_inputs(field_for(q, m))[:2], q).dense is not None
+    monkeypatch.setattr(kernels, "_DENSE_MAX", 0)
+    monkeypatch.setattr(kernels, "_PLANS", ())
+    rounds = trace_route_weights(params, workers=1)
+    assert all(plan.dense is None for plan in kernels._PLANS)
+    assert dense.counts == rounds.counts
+    assert dense.min_positive_weight() == params.delta_i
+
+
 def record_pools(monkeypatch):
     started = []
 
