@@ -61,5 +61,13 @@ class NotAnMSequence(BchFormsError):
     """A trace vector that is not a linear m-sequence over GF(q)."""
 
 
+class NotAlternating(BchFormsError):
+    """A Gram handed to the symplectic pass that is not symmetric with a zero diagonal."""
+
+
+class ForbiddenRankType(BchFormsError):
+    """A family member whose rank and type the theorem rules out."""
+
+
 class CountMismatch(BchFormsError):
     """An exhaustive count that disagrees with its known total."""

@@ -16,7 +16,10 @@ coefficient matrix M with Q(y) = y^T M y alone: a trace form gets its M
 from one GF(q) contraction of its lambdas with ``TraceTensor``, which
 assembles its blocks from the extension's ``gfarith.PolyBasis`` (trace
 functional, Frobenius powers, xi), and no classification evaluates Q at
-the q^m points.  Rank and radical come from ``gfarith._row_reduce``.
+the q^m points.  Odd q is classified by congruence diagonalization of the
+Gram (``classify_symmetric``); even q by one symplectic pass over the
+alternating Gram, which gives the rank, Q on the radical and the Arf
+invariant together (``GramMatrix.symplectic``).
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ import numpy as np
 
 from .errors import (
     ArityMismatch,
-    BchFormsError,
     EvenCharacteristic,
     InvalidSubfield,
+    NotAlternating,
     OutOfRange,
     RankZero,
 )
@@ -39,8 +42,6 @@ from .gfarith import (
     SmallField,
     _frozen,
     _gfp_matrix,
-    _null_space,
-    _row_reduce,
     eta_minus_one,
     poly_basis,
     small_field,
@@ -110,10 +111,14 @@ def type_sign(q: int, rt: RankType) -> int:
 
 @dataclass
 class GramMatrix:
-    """``entries`` is a read-only int64 copy, so the cached row reduction stays valid."""
+    """``entries`` is a read-only int64 copy, so the cached symplectic pass
+    stays valid.  ``q_diagonal`` holds Q(e_a) of an even-q polarization:
+    with the alternating B these values determine Q.  Any other Gram leaves
+    it None, and the pass then tracks zeros."""
 
     entries: np.ndarray  # m x m of GF(q) element indices
     field_q: SmallField
+    q_diagonal: tuple[int, ...] | None = None
 
     def __post_init__(self):
         self.entries = np.array(self.entries, dtype=np.int64)
@@ -124,9 +129,51 @@ class GramMatrix:
         return self.entries.shape[0]
 
     @cached_property
-    def reduced(self) -> tuple[list[list[int]], list[int]]:
-        """``_row_reduce`` of the entries: rank and radical share one elimination."""
-        return _row_reduce(self.entries, self.field_q)
+    def symplectic(self) -> tuple[int, bool, int]:
+        """(pairs, q_on_radical, arf) of one symplectic pass, O(m^3), over an
+        alternating Gram (else EvenCharacteristic or NotAlternating).
+
+        Each step takes e = b_k and f = b_l / B(b_k, b_l) with B(b_k, b_l) != 0,
+        and makes every other b_r orthogonal to both as b_r + y_r e + x_r f,
+        x_r = B(b_r, e), y_r = B(b_r, f); in characteristic two that is
+        B(r, s) += x_r y_s + y_r x_s and Q(b_r) += y_r^2 Q(e) + x_r^2 Q(f) + x_r y_r.
+        A b_k with no partner left is dropped.  The dropped vectors span
+        Rad B, so rank B = 2 pairs, and Q, additive on Rad B, is nonzero there
+        iff it is nonzero on one of them.  arf = sum_k Q(e_k) Q(f_k).
+        """
+        F = self.field_q
+        if F.p != 2:
+            raise EvenCharacteristic("the symplectic pass needs even q")
+        G = self.entries.tolist()
+        if any(G[a][a] for a in range(self.m)) or G != [list(col) for col in zip(*G)]:
+            raise NotAlternating("an alternating Gram is symmetric with a zero diagonal")
+        add, mul = F.add_rows, F.mul_rows
+        Qb = list(self.q_diagonal or [0] * self.m)
+        remaining = list(range(self.m))
+        arf = pairs = 0
+        q_on_radical = False
+        while remaining:
+            k = remaining.pop()
+            l = next((l for l in remaining if G[k][l]), None)
+            if l is None:
+                q_on_radical = q_on_radical or Qb[k] != 0
+                continue
+            remaining.remove(l)
+            c = F.inv_el(G[k][l])
+            qe, qf = Qb[k], mul[mul[c][c]][Qb[l]]
+            arf = add[arf][mul[qe][qf]]
+            pairs += 1
+            X = [row[k] for row in G]
+            Y = [mul[c][row[l]] for row in G]
+            for r in remaining:
+                x, y = X[r], Y[r]
+                if not (x or y):
+                    continue
+                Qb[r] = add[add[Qb[r]][mul[mul[y][y]][qe]]][add[mul[mul[x][x]][qf]][mul[x][y]]]
+                row, mx, my = G[r], mul[x], mul[y]
+                for s in remaining:
+                    row[s] = add[row[s]][add[mx[Y[s]]][my[X[s]]]]
+        return pairs, q_on_radical, arf
 
 
 class TraceTensor:
@@ -283,24 +330,20 @@ def polarize(form) -> GramMatrix:
     Odd q: B(x,y) = (Q(x+y)-Q(x)-Q(y))/2 = x^T (M + M^T)/2 y, so B(x,x) = Q(x)
     and the Gram matrix coincides with the symmetric coefficient matrix of
     Q.  Even q: B(x,y) = Q(x+y)+Q(x)+Q(y) = x^T (M + M^T) y, which is
-    alternating.
+    alternating, so the Gram also keeps Q(e_a) = M[a, a].
     """
     F = form.field_q
     M = form.coefficient_matrix
     gram = F.add[M, M.T]
     if F.p != 2:
-        gram = F.mul[gram, F.half(1)]
-    return GramMatrix(entries=gram, field_q=F)
+        return GramMatrix(entries=F.mul[gram, F.half(1)], field_q=F)
+    return GramMatrix(entries=gram, field_q=F, q_diagonal=tuple(M.diagonal().tolist()))
 
 
 def bilinear_rank(M: GramMatrix) -> int:
-    """Matrix rank over GF(q)."""
-    return len(M.reduced[1])
-
-
-def radical_basis(M: GramMatrix) -> list[list[int]]:
-    """Basis of Rad B = {v : Mv = 0} as GF(q) coordinate vectors."""
-    return _null_space(M.field_q, M.reduced, M.m)
+    """Rank of an alternating Gram over GF(q), q even: twice the pairs of
+    its symplectic pass."""
+    return 2 * M.symplectic[0]
 
 
 def classify_symmetric(M: GramMatrix) -> RankType:
@@ -353,9 +396,9 @@ def classify_quadratic(form) -> RankType:
     """Rank and type of a quadratic form, from its coefficient matrix M.
 
     Odd q delegates to the symmetric classification of the polarization.
-    Even q: rank(B_Q) is even; Q has rank rank(B_Q)+1 and type 1 exactly
-    when Q does not vanish on Rad B_Q (checked as v^T M v on a basis, enough
-    because Q is additive there), otherwise the type is 0 or 2 as the Arf
+    Even q reads the one symplectic pass of B_Q (``GramMatrix.symplectic``):
+    rank(B_Q) is even; Q has rank rank(B_Q)+1 and type 1 exactly when Q does
+    not vanish on Rad B_Q, otherwise the type is 0 or 2 as the Arf
     invariant has GF(2)-trace 0 or 1 (Arf, J. reine angew. Math. 183 (1941);
     Lidl & Niederreiter, Finite Fields, ch. 6).
     """
@@ -364,68 +407,12 @@ def classify_quadratic(form) -> RankType:
     if F.p != 2:
         return classify_symmetric(B)
     rb = bilinear_rank(B)
-    if rb % 2:
-        raise BchFormsError("alternating form with odd rank")  # internal bug
-    M = form.coefficient_matrix.tolist()
-    if any(_quadratic_value(F, M, v) for v in radical_basis(B)):
+    _, q_on_radical, arf = B.symplectic
+    if q_on_radical:
         return RankType(rb + 1, 1)
     if rb == 0:
         return RankType(0, 0)
-    return RankType(rb, 2 if absolute_trace_to_gf2(F, _arf_invariant(F, B, M)) else 0)
-
-
-def _quadratic_value(F: SmallField, M: list[list[int]], v: list[int]) -> int:
-    """Q(v) = v^T M v."""
-    add, mul = F.add_rows, F.mul_rows
-    support = [(a, c) for a, c in enumerate(v) if c]
-    acc = 0
-    for a, ca in support:
-        row = M[a]
-        for b, cb in support:
-            acc = add[acc][mul[mul[ca][cb]][row[b]]]
-    return acc
-
-
-def _arf_invariant(F: SmallField, B: GramMatrix, M: list[list[int]]) -> int:
-    """sum_k Q(e_k) Q(f_k) over a symplectic basis (e_k, f_k) of a
-    complement of Rad B, for an even-q Q that vanishes on Rad B.
-
-    The basis b_r is changed in place with the list-table idiom of
-    _row_reduce, one pair at a time, in O(m^3): e = b_k and
-    f = b_l / B(b_k, b_l) for some l with B(b_k, b_l) != 0, and every other
-    b_r becomes b_r + y_r e + x_r f with x_r = B(b_r, e), y_r = B(b_r, f),
-    orthogonal to both.  In characteristic two that is
-    B(r, s) += x_r y_s + y_r x_s and Q(b_r) += y_r^2 Q(e) + x_r^2 Q(f) + x_r y_r.
-    A b_k with no partner left lies in Rad B and is dropped.
-    """
-    add, mul = F.add_rows, F.mul_rows
-    G = B.entries.tolist()
-    Qb = [M[a][a] for a in range(len(M))]
-    remaining = list(range(len(G)))
-    arf = pairs = 0
-    while remaining:
-        k = remaining.pop()
-        l = next((l for l in remaining if G[k][l]), None)
-        if l is None:
-            continue
-        remaining.remove(l)
-        c = F.inv_el(G[k][l])
-        qe, qf = Qb[k], mul[mul[c][c]][Qb[l]]
-        arf = add[arf][mul[qe][qf]]
-        pairs += 1
-        X = [row[k] for row in G]
-        Y = [mul[c][row[l]] for row in G]
-        for r in remaining:
-            x, y = X[r], Y[r]
-            if not (x or y):
-                continue
-            Qb[r] = add[add[Qb[r]][mul[mul[y][y]][qe]]][add[mul[mul[x][x]][qf]][mul[x][y]]]
-            row, mx, my = G[r], mul[x], mul[y]
-            for s in remaining:
-                row[s] = add[row[s]][add[mx[Y[s]]][my[X[s]]]]
-    if 2 * pairs != len(B.reduced[1]):
-        raise BchFormsError("symplectic basis does not match the rank")  # internal bug
-    return arf
+    return RankType(rb, 2 if absolute_trace_to_gf2(F, arf) else 0)
 
 
 def count_solutions_closed(q: int, rt: RankType, h: int, m: int) -> int:

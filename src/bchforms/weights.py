@@ -26,9 +26,9 @@ from . import kernels
 from .cyclotomic import CodeParams
 from .bchcode import TraceCodewordSpec, trace_codeword
 from .errors import (
-    BchFormsError,
     CountMismatch,
     EvenCharacteristic,
+    ForbiddenRankType,
     NegativeEntry,
     NonIntegralResult,
     OutOfRange,
@@ -148,25 +148,23 @@ def min_distance_even(params: CodeParams, budget: EnumerationBudget = DEFAULT_BU
 
     Scans the family, drawn from enumerate_family under its budget, in
     lambda-lexicographic order for a member of rank 2m-2i-1 type 1 or rank
-    2m-2i-2 type 2, checks no member has rank 2m-2i-2 type 0, and pins a
-    coset word of weight exactly delta_i.  Returns (distance, witness dict).
+    2m-2i-2 type 2, checks no nonzero member has rank 2m-2i-2 type 0
+    (ForbiddenRankType), and pins a coset word of weight exactly delta_i.
+    Returns (distance, witness dict).
     """
     q, m, i = params.q, params.m, params.i
     if q % 2:
         raise EvenCharacteristic("min_distance_even needs even q")
-    target_rank1 = 2 * m - 2 * i - 1
-    target_rank2 = 2 * m - 2 * i - 2
-    witness_form = None
-    witness_rt = None
+    rank = 2 * m - 2 * i - 2
+    witness_form = witness_rt = None
     for form in enumerate_family(FamilySpec.quadratic(q, m, i), budget):
         rt = classify_quadratic(form)
-        if rt == RankType(target_rank2, 0):
-            raise BchFormsError(
-                f"family member {form.lambdas} has forbidden rank {target_rank2} type 0"
-            )
-        if witness_form is None and (rt == RankType(target_rank1, 1) or rt == RankType(target_rank2, 2)):
-            witness_form = form
-            witness_rt = rt
+        # at m = 2 the forbidden rank is 0: the zero member, whose coset
+        # PRM has least weight q^m - q^(m-1) - 1 > delta_i, is exempt
+        if (rt.rank, rt.type) == (rank, 0) and any(form.lambdas):
+            raise ForbiddenRankType(f"family member {form.lambdas} has forbidden rank {rank} type 0")
+        if witness_form is None and (rt.rank, rt.type) in ((rank + 1, 1), (rank, 2)):
+            witness_form, witness_rt = form, rt
     if witness_form is None:
         raise WitnessNotFound(f"no rank/type witness in the family for ({q},{m},{i})")
     field = witness_form.field

@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bchforms
@@ -82,6 +82,26 @@ def test_enumerator_closed(capsys):
 def test_enumerator_both_match(capsys):
     code, doc = run_cli(capsys, "enumerator", "-q", "3", "-m", "3", "-i", "1", "--mode", "both")
     assert code == 0
+    assert doc["payload"]["match"] is True
+
+
+@pytest.mark.parametrize("q,delta", [(4, 7), (8, 47), (16, 223)])
+def test_even_closed_enumerator_at_m2(capsys, q, delta):
+    # at m = 2 the forbidden class is rank 0, which only the zero member
+    # has: its coset is PRM, whose least weight exceeds delta_i
+    code, doc = run_cli(capsys, "enumerator", "-q", str(q), "-m", "2", "-i", "1", "--mode", "closed")
+    assert code == 0, doc
+    payload = doc["payload"]
+    assert payload["delta_i"] == payload["closed"]["min_distance"] == delta
+    witness = payload["closed"]["witness"]
+    assert (witness["rank"], witness["type"], witness["weight"]) == (1, 1, delta)
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_even_enumerator_both_at_m2(capsys, monkeypatch, q):
+    monkeypatch.delenv("BCHFORMS_BUDGET", raising=False)  # 8^6 codewords exceed the small budget
+    code, doc = run_cli(capsys, "enumerator", "-q", str(q), "-m", "2", "-i", "1", "--mode", "both")
+    assert code == 0, doc
     assert doc["payload"]["match"] is True
 
 
@@ -551,6 +571,17 @@ def test_extension_model_is_defined_once():
     assert {module for module, _ in _references("_power_coords", "powers", "frobenius")} == {"gfarith"}
 
 
+def test_elimination_serves_gfarith_alone():
+    # rank/type classification is one symplectic pass in forms: the GF(q)
+    # elimination and its null space serve PolyBasis and _solve, and no
+    # other module imports or calls them
+    names = ("_row_reduce", "_null_space")
+    assert {module for module, _ in _references(*names)} == {"gfarith"}
+    imports = [path.stem for path in sorted(SRC.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and any(alias.name in names for alias in node.names)]
+    assert imports == []
+
+
 def test_budget_has_one_reader():
     # a library result is a function of its arguments: the environment is
     # read only by EnumerationBudget.from_env, and only the CLI calls it
@@ -595,13 +626,15 @@ Q = st.integers(-1, 10)
 M = st.integers(-1, 6)
 I = st.integers(-1, 6)
 
-# inner-dist, design-check and verify run under BCHFORMS_BUDGET=small:
+# enumerator, inner-dist, design-check and verify run under BCHFORMS_BUDGET=small:
 # GF(q^m) <= 2^12 and at most 2^16 members, or a BudgetExceeded refusal.
 # A draw whose family that budget admits is kept only if it has at most
 # CHEAP_MEMBERS members (|family| = q^(m(2i-m+3)/2) in the paper), since a
 # census classifies every member and a t-design test restricts every member
 # to every t-subspace; each example then runs in under 0.5 s (2 vCPUs).
-SMALL_BUDGET_COMMANDS = ("inner-dist", "design-check", "verify")
+# enumerator draws only --mode closed on q^m <= 2^12 (--mode oracle scans
+# every codeword), with m = 2 drawn often.
+SMALL_BUDGET_COMMANDS = ("enumerator", "inner-dist", "design-check", "verify")
 CHEAP_MEMBERS = 1 << 7
 
 
@@ -614,7 +647,7 @@ def _cheap(q: int, m: int, i: int) -> bool:
 def cli_argv(draw):
     """argv of one subcommand with int values in small ranges, bad ones included."""
     cmd = draw(st.sampled_from(["params", "coset-leaders", "genpoly", "classify-form", "dg-bound",
-                                "appendix-table", "inner-dist", "design-check", "verify"]))
+                                "appendix-table", "inner-dist", "design-check", "verify", "enumerator"]))
     if cmd == "verify":
         argv = [cmd, draw(st.sampled_from(["cosets", "forms", "schemes", "appendix", "examples", "all"]))]
         q, m, i = draw(Q), draw(M), draw(I)
@@ -622,6 +655,10 @@ def cli_argv(draw):
         argv += draw(st.sampled_from([[], ["--max-m", str(draw(M))]]))
         assume("--m" not in argv or _cheap(q, m, i))
         return argv
+    if cmd == "enumerator":
+        q, m, i = draw(Q), draw(st.one_of(st.just(2), M)), draw(st.one_of(st.just(1), I))
+        assume(_cheap(q, m, i) and (m < 1 or abs(q) ** m <= 1 << 12))
+        return [cmd, "-q", str(q), "-m", str(m), "-i", str(i), "--mode", "closed"]
     qm = ["-q", str(draw(Q)), "-m", str(draw(M))]
     if cmd == "params":
         return [cmd, *qm, "-i", str(draw(I))]
@@ -656,6 +693,7 @@ def cli_argv(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(cli_argv())
+@example(["enumerator", "-q", "4", "-m", "2", "-i", "1", "--mode", "closed"])
 def test_cli_contract(argv):
     out = io.StringIO()
     env = {"BCHFORMS_BUDGET": "small"} if argv[0] in SMALL_BUDGET_COMMANDS else {}
@@ -668,3 +706,4 @@ def test_cli_contract(argv):
     assert code in (0, 1, 2)
     if code == 1:
         assert set(doc) == {"command", "error", "message"}
+        assert doc["error"] != "BchFormsError", doc  # every refusal names its subclass

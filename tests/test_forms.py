@@ -1,11 +1,20 @@
+import functools
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bchforms import forms, schemes
-from bchforms.errors import ArityMismatch, EvenCharacteristic, InvalidSubfield, OutOfRange, RankZero
+from bchforms import forms, gfarith, schemes
+from bchforms.errors import (
+    ArityMismatch,
+    BchFormsError,
+    EvenCharacteristic,
+    InvalidSubfield,
+    NotAlternating,
+    OutOfRange,
+    RankZero,
+)
 from bchforms.forms import (
     CoefficientForm,
     RankType,
@@ -20,7 +29,7 @@ from bchforms.forms import (
     family_slots,
     polarize,
 )
-from bchforms.gfarith import digits, digitwise, field_for, small_field
+from bchforms.gfarith import _null_space, _row_reduce, digits, digitwise, field_for, small_field
 from field_reference import frob, power
 from bchforms.verify import CORRESPONDENCE_EVEN, CORRESPONDENCE_ODD, FORM_FAMILIES, SCHMIDT_FAMILIES
 
@@ -104,12 +113,27 @@ def test_polarize_trace_form_matches_bilinear_formula():
 
 
 def test_bilinear_rank_examples():
-    F3 = small_field(3)
-    assert bilinear_rank(forms.GramMatrix(np.zeros((3, 3), dtype=int), F3)) == 0
-    assert bilinear_rank(forms.GramMatrix(np.eye(4, dtype=int), F3)) == 4
+    # bilinear_rank is the rank of an alternating Gram (even q)
+    F2, F4 = small_field(2), small_field(4)
+    assert bilinear_rank(forms.GramMatrix(np.zeros((3, 3), dtype=int), F2)) == 0
+    J = np.array([[0, 1], [1, 0]])
+    assert bilinear_rank(forms.GramMatrix(np.kron(np.eye(2, dtype=int), J), F2)) == 4
     A = np.zeros((4, 4), dtype=int)
-    A[0, 1], A[1, 0] = 1, 2  # -1 mod 3
-    assert bilinear_rank(forms.GramMatrix(A, F3)) == 2
+    A[0, 1], A[1, 0] = 2, 2
+    A[0, 2], A[2, 0] = 3, 3  # rows 1 and 2 are proportional: one pair
+    assert bilinear_rank(forms.GramMatrix(A, F4)) == 2
+
+
+def test_bilinear_rank_refuses_non_alternating():
+    F2 = small_field(2)
+    with pytest.raises(NotAlternating):
+        bilinear_rank(forms.GramMatrix(np.eye(2, dtype=int), F2))  # nonzero diagonal
+    with pytest.raises(NotAlternating):
+        bilinear_rank(forms.GramMatrix(np.array([[0, 1], [0, 0]]), F2))  # not symmetric
+    with pytest.raises(EvenCharacteristic):
+        bilinear_rank(forms.GramMatrix(np.array([[0, 1], [2, 0]]), small_field(3)))  # odd q
+    for error in (NotAlternating, EvenCharacteristic):
+        assert issubclass(error, BchFormsError)
 
 
 def test_classify_symmetric_examples():
@@ -177,8 +201,7 @@ def _rank_by_definition(form):
     """m - dim Rad Q with Rad Q = Q^{-1}(0) n Rad B_Q, straight from the definitions."""
     F = form.field_q
     q, m = F.q, form.m
-    B = polarize(form)
-    rad = forms.radical_basis(B)
+    rad = _null_space(F, _row_reduce(polarize(form).entries, F), m)
     count = 0
     from itertools import product as iproduct
 
@@ -240,7 +263,7 @@ def test_classification_basis_invariance():
         for _ in range(100):
             while True:
                 D = rng.integers(0, q, size=(m, m))
-                if bilinear_rank(forms.GramMatrix(D, F)) == m:
+                if len(_row_reduce(D, F)[1]) == m:
                     break
             M = np.zeros((m, m), dtype=np.int64)
             for a in range(m):
@@ -284,21 +307,25 @@ def _span_size(F, vectors):
 
 def _check_rank_and_radical(F, B):
     m = B.shape[0]
-    gram = forms.GramMatrix(B, F)
-    rank = bilinear_rank(gram)
-    rad = forms.radical_basis(gram)
+    reduced = _row_reduce(B, F)
+    rank = len(reduced[1])
+    rad = _null_space(F, reduced, m)
     assert rank + len(rad) == m
     for v in rad:
         assert _matvec(F, B, v) == [0] * m
     # independent: the q^k combinations are pairwise distinct
     assert _span_size(F, rad) == F.q ** len(rad)
+    return rank
 
 
 def test_row_reduction_rank_plus_radical():
     for q, m, i in FORM_FAMILIES:
         F = small_field(q)
         for form in schemes.enumerate_family(schemes.FamilySpec.quadratic(q, m, i)):
-            _check_rank_and_radical(F, polarize(form).entries)
+            gram = polarize(form)
+            rank = _check_rank_and_radical(F, gram.entries)
+            if q % 2 == 0:  # the symplectic pass agrees with the elimination
+                assert bilinear_rank(gram) == rank
     rng = np.random.default_rng(20261018)
     for q in (2, 3, 4, 5):
         F = small_field(q)
@@ -311,9 +338,9 @@ def test_row_reduction_rank_plus_radical():
             for k in range(inner):  # rank <= inner, so radicals occur
                 B = add[B, mul[L[:, k][:, None], R[k][None, :]]]
             # rank from its definition: the row space has q^rank elements
-            rank = bilinear_rank(forms.GramMatrix(B, F))
+            rank = len(_row_reduce(B, F)[1])
             assert q ** rank == _span_size(F, list(B))
-            assert rank == bilinear_rank(forms.GramMatrix(B.T, F))
+            assert rank == len(_row_reduce(B.T, F)[1])
             if rows == cols:
                 _check_rank_and_radical(F, B)
 
@@ -464,7 +491,7 @@ def test_row_reduce_matches_reference():
             if rows and cols and rng.random() < 0.5:  # low rank: zero columns and free rows
                 M[:, rng.random(cols) < 0.4] = 0
                 M[rng.integers(rows)] = M[rng.integers(rows)]
-            assert forms._row_reduce(M, F) == _row_reduce_ref(M, F), (q, M.tolist())
+            assert _row_reduce(M, F) == _row_reduce_ref(M, F), (q, M.tolist())
 
 
 def _reference_forms():
@@ -548,9 +575,9 @@ def test_classification_matches_reference(kind, q, m, i):
 
 
 def test_gram_entries_are_a_read_only_copy():
-    F3 = small_field(3)
-    raw = np.diag([1, 1, 0]).astype(np.int64)
-    g = forms.GramMatrix(raw, F3)
+    F2 = small_field(2)
+    raw = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=np.int64)
+    g = forms.GramMatrix(raw, F2)
     assert bilinear_rank(g) == 2
     raw[2, 2] = 1  # the caller's array is not the Gram's
     assert g.entries[2, 2] == 0 and bilinear_rank(g) == 2
@@ -560,18 +587,26 @@ def test_gram_entries_are_a_read_only_copy():
 
 @pytest.mark.parametrize("q,m", [(2, 5), (4, 3)])
 def test_even_q_classification_eliminates_once(monkeypatch, q, m):
-    # one elimination serves both the rank and the radical; bilinear_rank
-    # still runs once per member, which the benchmark's span counts assume
-    calls = {"_row_reduce": 0, "bilinear_rank": 0}
-    for name in calls:
-        def counted(*args, _orig=getattr(forms, name), _name=name):
-            calls[_name] += 1
-            return _orig(*args)
-        monkeypatch.setattr(forms, name, counted)
-    for rt in all_rank_types(q, m):
-        calls.update(_row_reduce=0, bilinear_rank=0)
+    # one symplectic pass serves the rank, the radical and the Arf invariant,
+    # and no row reduction runs; polarize and bilinear_rank still run once
+    # per member, which the benchmark's span counts assume
+    calls = dict.fromkeys(("pass", "_row_reduce", "polarize", "bilinear_rank"), 0)
+
+    def counter(name, orig):
+        def counted(*args):
+            calls[name] += 1
+            return orig(*args)
+        return counted
+
+    for module, name in ((gfarith, "_row_reduce"), (forms, "polarize"), (forms, "bilinear_rank")):
+        monkeypatch.setattr(module, name, counter(name, getattr(module, name)))
+    one_pass = functools.cached_property(counter("pass", forms.GramMatrix.symplectic.func))
+    one_pass.__set_name__(forms.GramMatrix, "symplectic")
+    monkeypatch.setattr(forms.GramMatrix, "symplectic", one_pass)
+    for rt in all_rank_types(q, m) + [RankType(0, 0)]:
+        calls.update(dict.fromkeys(calls, 0))
         assert classify_quadratic(canonical_form(q, m, rt)) == rt
-        assert calls == {"_row_reduce": 1, "bilinear_rank": 1}, rt
+        assert calls == {"pass": 1, "_row_reduce": 0, "polarize": 1, "bilinear_rank": 1}, rt
 
 
 def test_coefficient_values_peak_memory():

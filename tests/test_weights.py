@@ -3,7 +3,7 @@ import pytest
 
 from bchforms import kernels, oracle, weights
 from bchforms.cyclotomic import code_params
-from bchforms.errors import EvenCharacteristic, OutOfRange, RankZero
+from bchforms.errors import BchFormsError, EvenCharacteristic, ForbiddenRankType, OutOfRange, RankZero
 from bchforms.forms import RankType, all_rank_types, canonical_form, classify_quadratic
 from bchforms.gfarith import field_for
 from bchforms.schemes import FamilySpec, enumerate_family
@@ -145,6 +145,16 @@ def test_min_distance_even_examples():
     assert d == 32 - 16 - 4 - 1 == 11
     with pytest.raises(EvenCharacteristic):
         min_distance_even(code_params(3, 3, 1))
+
+
+def test_min_distance_even_forbidden_member(monkeypatch):
+    # a nonzero member of rank 2m-2i-2 type 0 is a typed refusal; the zero
+    # member, first in the scan, is exempt (it is that class at m = 2)
+    monkeypatch.setattr(weights, "classify_quadratic", lambda form: RankType(6, 0))
+    with pytest.raises(ForbiddenRankType, match="forbidden rank 6 type 0") as refused:
+        min_distance_even(code_params(2, 6, 2))
+    assert "(0,)" not in str(refused.value)
+    assert issubclass(ForbiddenRankType, BchFormsError)
 
 
 def test_appendix_tables_vs_oracle_small():
